@@ -19,7 +19,6 @@
 #include "common/worker_pool.hpp"
 #include "obs/observer.hpp"
 #include "sim/replay.hpp"
-#include "sim/sharded_replay.hpp"
 #include "trace/parser.hpp"
 #include "trace/synthetic.hpp"
 
@@ -53,7 +52,8 @@ struct Options {
   // triggers without a bespoke harness.
   double inject_program_fail = 0;  // ssd fault p_program_fail
   u32 breaker_budget = 0;          // engine error budget (0 = off)
-  u32 device_blocks = 0;           // override device size (blocks)
+  // Raw device size in MiB, despite the flag's name (0 = 8192 MiB).
+  u32 device_blocks = 0;
   bool durable = false;            // durable format + journal + retries
 
   // Sharded multi-tenant replay (edc/shard.hpp): >1 shard or tenant
@@ -107,7 +107,7 @@ Options Parse(int argc, char** argv) {
                    "                    [--postmortem-dir=DIR] "
                    "[--health-rules=PATH|default] [--health-out=PATH.json]\n"
                    "                    [--inject-program-fail=P] "
-                   "[--breaker-budget=N] [--device-blocks=N] [--durable]\n"
+                   "[--breaker-budget=N] [--device-blocks=MiB] [--durable]\n"
                    "                    [--shards=N] [--tenants=M]\n");
       std::exit(2);
     }

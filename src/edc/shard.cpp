@@ -62,91 +62,18 @@ ShardedEngine::~ShardedEngine() {
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     const ShardedOptions& options, const core::StackConfig& stack) {
-  const u32 n = options.shards < 1 ? 1 : options.shards;
-
-  auto profile = datagen::ProfileByName(stack.content_profile);
-  if (!profile.ok()) return profile.status();
-
-  if (stack.durability.enabled) {
-    if (stack.mode != core::ExecutionMode::kFunctional) {
-      return Status::InvalidArgument(
-          "sharded: durable mode requires functional execution");
-    }
-    const bool store_data = stack.use_rais ? stack.rais.member.store_data
-                            : stack.use_hdd ? stack.hdd.store_data
-                            : stack.use_nvm ? stack.nvm.store_data
-                                            : stack.ssd.store_data;
-    if (!store_data) {
-      return Status::InvalidArgument(
-          "sharded: durable mode requires a data-retaining device");
-    }
+  auto parts = core::BuildStackParts(stack, options.shards);
+  if (!parts.ok()) return parts.status();
+  std::vector<ShardBacking> backings;
+  backings.reserve(parts->devices.size());
+  for (const auto& device : parts->devices) {
+    backings.push_back(ShardBacking{parts->engine, device.get(),
+                                    parts->generator.get(),
+                                    parts->cost_model.get()});
   }
-
-  auto se = std::unique_ptr<ShardedEngine>(new ShardedEngine(options, n));
-  se->owned_generator_ =
-      std::make_unique<datagen::ContentGenerator>(*profile, stack.seed);
-
-  if (stack.mode == core::ExecutionMode::kModeled) {
-    auto model = core::Stack::CalibrateCostModel(stack);
-    if (!model.ok()) return model.status();
-    se->owned_cost_model_ = *model;
-  }
-
-  // Engine wiring mirrors Stack::Create, minus observability and codec
-  // offload: shard engines run obs-free (the shard layer owns the
-  // deterministic metrics) and compress serially on their own run-loop
-  // thread (the per-shard threads *are* the parallelism; sharing a
-  // compress pool with the run loops would deadlock it).
-  core::EngineConfig ec;
-  ec.scheme = stack.scheme;
-  ec.elastic = stack.elastic;
-  ec.monitor = stack.monitor;
-  ec.estimator = stack.estimator;
-  ec.seq = stack.seq;
-  ec.use_seq_detector = stack.scheme == core::Scheme::kEdc &&
-                        stack.use_seq_detector_for_edc;
-  ec.mode = stack.mode;
-  ec.alloc_policy = stack.alloc_policy;
-  ec.cache_groups = stack.cache_groups;
-  ec.cpu_contexts = stack.cpu_contexts;
-  ec.modeled_check_interval = stack.modeled_check_interval;
-  ec.audit_every_n_ops = stack.audit_every_n_ops;
-  ec.durability = stack.durability;
-  ec.breaker_error_budget = stack.breaker_error_budget;
-  ec.read_retry_attempts = stack.read_retry_attempts;
-  ec.read_retry_backoff = stack.read_retry_backoff;
-  ec.obs = nullptr;
-  ec.compress_pool = nullptr;
-
-  for (u32 s = 0; s < n; ++s) {
-    Shard& sh = *se->shards_[s];
-    // Each shard owns a private device with 1/N of the raw capacity, so
-    // N shards model the same hardware as one unsharded stack.
-    if (stack.use_rais) {
-      ssd::RaisConfig rc = stack.rais;
-      rc.member.geometry.num_blocks =
-          std::max<u32>(4, rc.member.geometry.num_blocks / n);
-      sh.owned_device = std::make_unique<ssd::Rais>(rc);
-    } else if (stack.use_hdd) {
-      ssd::HddConfig hc = stack.hdd;
-      hc.num_pages = std::max<u64>(64, hc.num_pages / n);
-      sh.owned_device = std::make_unique<ssd::Hdd>(hc);
-    } else if (stack.use_nvm) {
-      ssd::NvmConfig nc = stack.nvm;
-      nc.num_pages = std::max<u64>(64, nc.num_pages / n);
-      sh.owned_device = std::make_unique<ssd::Nvm>(nc);
-    } else {
-      ssd::SsdConfig sc = stack.ssd;
-      sc.geometry.num_blocks =
-          std::max<u32>(4, sc.geometry.num_blocks / n);
-      sh.owned_device = std::make_unique<ssd::Ssd>(sc);
-    }
-    sh.device = sh.owned_device.get();
-    sh.engine_config = ec;
-    sh.generator = se->owned_generator_.get();
-    sh.cost_model = se->owned_cost_model_.get();
-  }
-  return FinishCreate(std::move(se));
+  auto se = CreateFromBackings(options, std::move(backings));
+  if (se.ok()) (*se)->owned_ = std::move(*parts);
+  return se;
 }
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::CreateFromBackings(
@@ -169,35 +96,24 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::CreateFromBackings(
     Shard& sh = *se->shards_[s];
     sh.device = b.device;
     sh.engine_config = b.engine;
-    sh.engine_config.obs = nullptr;          // see header comment
+    // Shard engines run obs-free (the shard layer owns the deterministic
+    // metrics; see header comment) and compress serially on their own
+    // run-loop thread: the per-shard threads *are* the parallelism, and
+    // sharing a compress pool with the run loops would deadlock it.
+    sh.engine_config.obs = nullptr;
     sh.engine_config.compress_pool = nullptr;
     sh.generator = b.generator;
     sh.cost_model = b.cost_model;
-  }
-  return FinishCreate(std::move(se));
-}
-
-Result<std::unique_ptr<ShardedEngine>> ShardedEngine::FinishCreate(
-    std::unique_ptr<ShardedEngine> se) {
-  for (auto& sh : se->shards_) {
-    sh->ring = std::make_unique<MpscRing<SubOp>>(se->options_.ring_capacity);
+    sh.engine = std::make_unique<core::Engine>(sh.engine_config, sh.device,
+                                               sh.generator, sh.cost_model);
+    sh.ring = std::make_unique<MpscRing<SubOp>>(se->options_.ring_capacity);
   }
   se->completions_ = std::make_unique<MpscRing<SubDone>>(
       static_cast<std::size_t>(se->options_.ring_capacity) *
       se->shards_.size());
-  Status built = se->BuildEngines();
-  if (!built.ok()) return built;
   se->RegisterObservability();
   se->pool_ = std::make_unique<WorkerPool>(se->shards_.size());
   return se;
-}
-
-Status ShardedEngine::BuildEngines() {
-  for (auto& sh : shards_) {
-    sh->engine = std::make_unique<core::Engine>(
-        sh->engine_config, sh->device, sh->generator, sh->cost_model);
-  }
-  return Status::Ok();
 }
 
 void ShardedEngine::RegisterObservability() {

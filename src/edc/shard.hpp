@@ -41,6 +41,10 @@
 // write sequence (and thus its content version) is preserved by any
 // partitioning, so read-back is byte-identical at shards=1 and shards=N.
 //
+// Wiring: Create builds the shards with core::BuildStackParts, the same
+// builder as core::Stack::Create (edc/stack.hpp), and hands them to
+// CreateFromBackings like any caller-built set of devices.
+//
 // Observability: per-shard/per-tenant counters, logical queue-depth
 // gauges and dispatch-batch histograms are registered by the dispatcher
 // into the Observer's registry and updated only from the dispatcher
@@ -148,8 +152,8 @@ struct ShardedOptions {
 
 /// One shard's backing, for harnesses that build their own devices
 /// (fault-injected SSDs, RAIS arrays). The device/generator/cost model
-/// are non-owning and must outlive the ShardedEngine; `engine.obs` is
-/// forced to null.
+/// are non-owning and must outlive the ShardedEngine; `engine.obs` and
+/// `engine.compress_pool` are forced to null.
 struct ShardBacking {
   core::EngineConfig engine;
   ssd::Device* device = nullptr;
@@ -159,10 +163,11 @@ struct ShardBacking {
 
 class ShardedEngine {
  public:
-  /// Build N owned shards from a StackConfig template: each shard gets a
-  /// private device with 1/N of the configured raw capacity and its own
-  /// Engine (mapping, allocator, journal lane, scratch). The stack's
-  /// `obs` is NOT wired into the engines (see header comment); pass it
+  /// Build N owned shards from a StackConfig template (see header
+  /// comment): each shard gets a private device with 1/N of the
+  /// configured raw capacity and its own Engine (mapping, allocator,
+  /// journal lane, scratch); all shards share one content generator and
+  /// cost model. The stack's `obs` is NOT wired into the engines; pass it
   /// via options.obs for the shard-layer metrics instead.
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const ShardedOptions& options, const core::StackConfig& stack);
@@ -287,8 +292,7 @@ class ShardedEngine {
   };
 
   struct Shard {
-    // Backing (owned_* null when the caller supplied the device).
-    std::unique_ptr<ssd::Device> owned_device;
+    // Backing (non-owning; see owned_).
     ssd::Device* device = nullptr;
     core::EngineConfig engine_config;
     const datagen::ContentGenerator* generator = nullptr;
@@ -313,11 +317,7 @@ class ShardedEngine {
 
   ShardedEngine(const ShardedOptions& options, u32 shards);
 
-  static Result<std::unique_ptr<ShardedEngine>> FinishCreate(
-      std::unique_ptr<ShardedEngine> se);
-
   void RegisterObservability();
-  Status BuildEngines();
 
   /// Move up to max_batch requests from the WFQ backlog into shard
   /// rings, applying completions whenever the window is full.
@@ -342,9 +342,10 @@ class ShardedEngine {
 
   ShardedOptions options_;
   ShardRouter router_;
+  /// What Create built (empty after CreateFromBackings). Declared before
+  /// shards_ so the engines die before their devices and generator.
+  core::StackParts owned_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<datagen::ContentGenerator> owned_generator_;
-  std::shared_ptr<const core::CostModel> owned_cost_model_;
   std::unique_ptr<WorkerPool> pool_;
   bool running_ = false;
 

@@ -1,5 +1,7 @@
 #include "edc/stack.hpp"
 
+#include <algorithm>
+
 namespace edc::core {
 
 Result<std::shared_ptr<const CostModel>> Stack::CalibrateCostModel(
@@ -11,51 +13,75 @@ Result<std::shared_ptr<const CostModel>> Stack::CalibrateCostModel(
       CostModel::Calibrate(generator, {}, pool));
 }
 
-Result<std::unique_ptr<Stack>> Stack::Create(
-    const StackConfig& config,
+namespace {
+
+/// One of n equal slices of the configured device: 1/n of its raw
+/// capacity, floored at 4 flash blocks (per member) for SSD/RAIS and at
+/// 64 pages for HDD/NVM. Sets `*store_data` to whether the device keeps
+/// the bytes written to it.
+std::unique_ptr<ssd::Device> MakeDeviceSlice(const StackConfig& config,
+                                             u32 n, bool* store_data) {
+  if (config.use_rais) {
+    ssd::RaisConfig rc = config.rais;
+    rc.member.geometry.num_blocks =
+        std::max<u32>(4, rc.member.geometry.num_blocks / n);
+    *store_data = rc.member.store_data;
+    return std::make_unique<ssd::Rais>(rc);
+  }
+  if (config.use_hdd) {
+    ssd::HddConfig hc = config.hdd;
+    hc.num_pages = std::max<u64>(64, hc.num_pages / n);
+    *store_data = hc.store_data;
+    return std::make_unique<ssd::Hdd>(hc);
+  }
+  if (config.use_nvm) {
+    ssd::NvmConfig nc = config.nvm;
+    nc.num_pages = std::max<u64>(64, nc.num_pages / n);
+    *store_data = nc.store_data;
+    return std::make_unique<ssd::Nvm>(nc);
+  }
+  ssd::SsdConfig sc = config.ssd;
+  sc.geometry.num_blocks = std::max<u32>(4, sc.geometry.num_blocks / n);
+  *store_data = sc.store_data;
+  return std::make_unique<ssd::Ssd>(sc);
+}
+
+}  // namespace
+
+Result<StackParts> BuildStackParts(
+    const StackConfig& config, u32 n,
     std::shared_ptr<const CostModel> shared_cost_model) {
+  if (n < 1) n = 1;
   auto profile = datagen::ProfileByName(config.content_profile);
   if (!profile.ok()) return profile.status();
+  if (config.durability.enabled &&
+      config.mode != ExecutionMode::kFunctional) {
+    return Status::InvalidArgument(
+        "stack: durable mode requires functional execution");
+  }
 
-  auto stack = std::unique_ptr<Stack>(new Stack());
-  stack->config_ = config;
-  stack->generator_ = std::make_unique<datagen::ContentGenerator>(
-      *profile, config.seed);
+  StackParts parts;
+  bool store_data = false;
+  parts.devices.reserve(n);
+  for (u32 i = 0; i < n; ++i) {
+    parts.devices.push_back(MakeDeviceSlice(config, n, &store_data));
+  }
+  if (config.durability.enabled && !store_data) {
+    return Status::InvalidArgument(
+        "stack: durable mode requires a data-retaining device "
+        "(store_data = true)");
+  }
 
+  parts.generator =
+      std::make_unique<datagen::ContentGenerator>(*profile, config.seed);
   if (shared_cost_model != nullptr) {
-    stack->cost_model_ = std::move(shared_cost_model);
+    parts.cost_model = std::move(shared_cost_model);
   } else if (config.mode == ExecutionMode::kModeled) {
-    stack->cost_model_ = std::make_shared<const CostModel>(
-        CostModel::Calibrate(*stack->generator_));
+    parts.cost_model = std::make_shared<const CostModel>(
+        CostModel::Calibrate(*parts.generator));
   }
 
-  if (config.durability.enabled) {
-    if (config.mode != ExecutionMode::kFunctional) {
-      return Status::InvalidArgument(
-          "stack: durable mode requires functional execution");
-    }
-    const bool store_data = config.use_rais ? config.rais.member.store_data
-                            : config.use_hdd ? config.hdd.store_data
-                            : config.use_nvm ? config.nvm.store_data
-                                             : config.ssd.store_data;
-    if (!store_data) {
-      return Status::InvalidArgument(
-          "stack: durable mode requires a data-retaining device "
-          "(store_data = true)");
-    }
-  }
-
-  if (config.use_rais) {
-    stack->device_ = std::make_unique<ssd::Rais>(config.rais);
-  } else if (config.use_hdd) {
-    stack->device_ = std::make_unique<ssd::Hdd>(config.hdd);
-  } else if (config.use_nvm) {
-    stack->device_ = std::make_unique<ssd::Nvm>(config.nvm);
-  } else {
-    stack->device_ = std::make_unique<ssd::Ssd>(config.ssd);
-  }
-
-  EngineConfig ec;
+  EngineConfig& ec = parts.engine;
   ec.scheme = config.scheme;
   ec.elastic = config.elastic;
   ec.monitor = config.monitor;
@@ -75,9 +101,22 @@ Result<std::unique_ptr<Stack>> Stack::Create(
   ec.read_retry_attempts = config.read_retry_attempts;
   ec.read_retry_backoff = config.read_retry_backoff;
   ec.obs = config.obs;
+  return parts;
+}
 
+Result<std::unique_ptr<Stack>> Stack::Create(
+    const StackConfig& config,
+    std::shared_ptr<const CostModel> shared_cost_model) {
+  auto parts = BuildStackParts(config, 1, std::move(shared_cost_model));
+  if (!parts.ok()) return parts.status();
+
+  auto stack = std::unique_ptr<Stack>(new Stack());
+  stack->config_ = config;
+  stack->generator_ = std::move(parts->generator);
+  stack->cost_model_ = std::move(parts->cost_model);
+  stack->device_ = std::move(parts->devices[0]);
   stack->engine_ = std::make_unique<Engine>(
-      ec, stack->device_.get(), stack->generator_.get(),
+      parts->engine, stack->device_.get(), stack->generator_.get(),
       stack->cost_model_.get());
 
   if (config.obs != nullptr) {

@@ -1,9 +1,15 @@
 // Stack: one fully-wired storage system under test — content generator,
-// cost model, device (SSD or RAIS5) and the EDC engine with a chosen
-// scheme. This is the top-level object examples and benches construct.
+// cost model, device (SSD, RAIS, HDD or NVM) and the EDC engine with a
+// chosen scheme. This is the top-level object examples and benches
+// construct.
+//
+// BuildStackParts is the one place a StackConfig becomes engine wiring;
+// Stack::Create calls it for one engine and shard::ShardedEngine::Create
+// for N shards.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "edc/engine.hpp"
 #include "ssd/hdd.hpp"
@@ -63,11 +69,34 @@ struct StackConfig {
   obs::Observer* obs = nullptr;
 };
 
+/// What a StackConfig wires for `n` engines: one content generator and
+/// one cost model that every engine shares, the EngineConfig every engine
+/// runs with, and a private device per engine.
+struct StackParts {
+  std::unique_ptr<datagen::ContentGenerator> generator;
+  /// Null in functional mode unless the caller shared a model.
+  std::shared_ptr<const CostModel> cost_model;
+  EngineConfig engine;
+  /// One per engine, each with 1/n of the configured raw capacity (with
+  /// a floor), so n engines model the same hardware as one.
+  std::vector<std::unique_ptr<ssd::Device>> devices;
+};
+
+/// Build the parts of `config` for `n` engines. Durable mode must run in
+/// functional mode over a data-retaining device (store_data = true),
+/// else this returns InvalidArgument. `shared_cost_model` as for
+/// Stack::Create.
+Result<StackParts> BuildStackParts(
+    const StackConfig& config, u32 n,
+    std::shared_ptr<const CostModel> shared_cost_model = nullptr);
+
 class Stack {
  public:
-  /// Build a stack. `shared_cost_model` lets callers calibrate once and
-  /// reuse across schemes (calibration runs the real codecs); when null
-  /// and the mode is modeled, a private model is calibrated here.
+  /// Build a stack: BuildStackParts for one engine, plus the device's
+  /// observer hookup and edc_device_* / edc_rais_* metrics collector when
+  /// `config.obs` is set. `shared_cost_model` lets callers calibrate once
+  /// and reuse across schemes (calibration runs the real codecs); when
+  /// null and the mode is modeled, a private model is calibrated here.
   static Result<std::unique_ptr<Stack>> Create(
       const StackConfig& config,
       std::shared_ptr<const CostModel> shared_cost_model = nullptr);

@@ -3,9 +3,24 @@
 // how the paper drives its prototype. Produces the per-scheme metrics of
 // §IV: average response time, compression ratio, and the composite
 // ratio/time benefit metric.
+//
+// One replay loop drives two targets: a direct Stack (ReplayTrace) and
+// the edc::shard async fabric (ReplayShardedTrace), where requests are
+// submitted round-robin across M tenants (token-bucket admission + WFQ
+// dequeue) and split across N engine shards. Both fold completions, in
+// submission order, into the same latency moments and seeded reservoirs,
+// stop at the first failed request and return its status, and finish
+// with the same flush/stats/telemetry step. So the two are directly
+// comparable, and at shards = tenants = 1 they give the same result.
+//
+// Determinism: the result (latency moments, percentiles, engine/device
+// stats, metrics snapshot) is a pure function of (config, trace,
+// options). Sharded per-LBA data is additionally invariant across shard
+// counts — see edc/shard.hpp.
 #pragma once
 
 #include "common/stats.hpp"
+#include "edc/shard.hpp"
 #include "edc/stack.hpp"
 #include "obs/watchdog.hpp"
 #include "trace/trace.hpp"
@@ -79,5 +94,23 @@ struct ReplayResult {
 Result<ReplayResult> ReplayTrace(core::Stack& stack,
                                  const trace::Trace& trace,
                                  const ReplayOptions& options = {});
+
+struct ShardedReplayOptions {
+  ReplayOptions base;
+  u32 shards = 1;
+  u32 tenants = 1;
+  u32 chunk_blocks = 64;
+  u32 window = 512;
+  u32 max_batch = 32;
+  shard::QosConfig qos;
+};
+
+/// Replay `trace` through a ShardedEngine built from `config` (each
+/// shard gets 1/N of the configured raw capacity). `config.obs` is wired
+/// into the shard layer's dispatcher-confined metrics (never into the
+/// shard engines; see edc/shard.hpp).
+Result<ReplayResult> ReplayShardedTrace(const core::StackConfig& config,
+                                        const trace::Trace& trace,
+                                        const ShardedReplayOptions& options);
 
 }  // namespace edc::sim

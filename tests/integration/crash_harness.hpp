@@ -17,6 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -163,37 +166,74 @@ inline void VerifyRecovered(Engine& engine,
   }
 }
 
-/// The sweep: for cut = k, 2k, 3k, ... replay the trace on a fresh device
-/// that loses power at device operation `cut`, reboot, recover, verify.
-/// Ends when a replay completes without tripping the cut (the trace's
-/// device-op count was passed) or after `max_cuts` iterations.
+/// One sweep point: replay the trace on a fresh device that loses power
+/// at device operation `cut`, reboot, recover, verify. Returns false when
+/// the replay completed without tripping the cut (the trace's device-op
+/// count was passed).
+inline bool RunCrashPoint(const SweepParams& p,
+                          const datagen::ContentGenerator& gen,
+                          const std::vector<Op>& trace,
+                          const EngineConfig& ec, u64 cut) {
+  ssd::Ssd dev(SweepDeviceConfig(cut));
+  Engine engine(ec, &dev, &gen, nullptr);
+  ReplayOutcome run = ReplayUntilCut(engine, trace);
+  if (::testing::Test::HasFatalFailure() || !run.cut_fired) {
+    return run.cut_fired;
+  }
+  dev.RestorePower();
+  // Reboot model: recovery rebuilds this engine's entire host-side
+  // state from the journal + extents; nothing pre-cut survives in RAM.
+  Status recovered = engine.RecoverFromDevice(run.clock);
+  EXPECT_TRUE(recovered.ok()) << "cut " << cut << ": "
+                              << recovered.ToString();
+  if (recovered.ok()) VerifyRecovered(engine, gen, p, run, cut);
+  return true;
+}
+
+/// The sweep: cut power at device operation k, 2k, 3k, ... (see
+/// RunCrashPoint) until a replay completes without tripping the cut or
+/// `max_cuts` points were checked. The points are independent replays of
+/// a deterministic trace, so worker threads claim them from a shared
+/// counter; the set of points checked is the same as a serial sweep's.
+/// Replays are deterministic, so once cut i lies beyond the trace every
+/// later cut does too.
 inline void RunCrashSweep(const SweepParams& p) {
   auto profile = datagen::ProfileByName("linux");
   ASSERT_TRUE(profile.ok());
-  datagen::ContentGenerator gen(*profile, p.seed + 1000);
+  const datagen::ContentGenerator gen(*profile, p.seed + 1000);
   const std::vector<Op> trace = MakeTrace(p);
   const EngineConfig ec = SweepEngineConfig();
 
-  u64 cuts_done = 0;
-  u64 recoveries_verified = 0;
-  for (u64 cut = p.k;; cut += p.k) {
-    ssd::Ssd dev(SweepDeviceConfig(cut));
-    Engine engine(ec, &dev, &gen, nullptr);
-    ReplayOutcome run = ReplayUntilCut(engine, trace);
-    if (::testing::Test::HasFatalFailure()) return;
-    if (!run.cut_fired) break;  // cut point beyond the trace: sweep done
-
-    dev.RestorePower();
-    // Reboot model: recovery rebuilds this engine's entire host-side
-    // state from the journal + extents; nothing pre-cut survives in RAM.
-    ASSERT_TRUE(engine.RecoverFromDevice(run.clock).ok()) << "cut " << cut;
-    VerifyRecovered(engine, gen, p, run, cut);
-    if (::testing::Test::HasFatalFailure()) return;
-    ++recoveries_verified;
-    if (p.max_cuts != 0 && ++cuts_done >= p.max_cuts) return;
-  }
-  EXPECT_GT(recoveries_verified, 0u)
+  // Point i cuts at device op (i + 1) * k; `end` shrinks to the first
+  // point whose cut lies beyond the trace.
+  std::atomic<u64> next{0};
+  std::atomic<u64> end{p.max_cuts != 0 ? p.max_cuts : ~u64{0}};
+  std::atomic<u64> recoveries_verified{0};
+  auto worker = [&] {
+    for (;;) {
+      const u64 i = next.fetch_add(1);
+      if (i >= end.load() || ::testing::Test::HasFatalFailure()) return;
+      if (RunCrashPoint(p, gen, trace, ec, (i + 1) * p.k)) {
+        if (::testing::Test::HasFailure()) return;
+        recoveries_verified.fetch_add(1);
+        continue;
+      }
+      u64 seen = end.load();
+      while (i < seen && !end.compare_exchange_weak(seen, i)) {
+      }
+    }
+  };
+  const u32 n_workers =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
+  std::vector<std::thread> workers;
+  for (u32 w = 1; w < n_workers; ++w) workers.emplace_back(worker);
+  worker();
+  for (std::thread& t : workers) t.join();
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_GT(recoveries_verified.load(), 0u)
       << "sweep parameters produced no cuts at all";
+  EXPECT_EQ(recoveries_verified.load(), end.load())
+      << "every cut point before the end of the trace must be checked";
 }
 
 }  // namespace edc::core::crashtest

@@ -3,6 +3,8 @@
 // qualitative orderings (ratio ordering across schemes, EDC's balance).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/transform.hpp"
@@ -257,6 +259,139 @@ TEST(Replay, DeterministicAcrossRuns) {
   EXPECT_EQ(ra->response_us.mean(), rb->response_us.mean());
   EXPECT_EQ(ra->compression_ratio, rb->compression_ratio);
   EXPECT_EQ(ra->engine.groups_written, rb->engine.groups_written);
+}
+
+void ExpectSameMoments(const RunningStats& a, const RunningStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.variance(), b.variance()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+}
+
+void ExpectSameEngineStats(const core::EngineStats& a,
+                           const core::EngineStats& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.host_writes, b.host_writes) << what;
+  EXPECT_EQ(a.host_reads, b.host_reads) << what;
+  EXPECT_EQ(a.logical_bytes_written, b.logical_bytes_written) << what;
+  EXPECT_EQ(a.groups_written, b.groups_written) << what;
+  EXPECT_EQ(a.merged_blocks, b.merged_blocks) << what;
+  EXPECT_EQ(a.blocks_skipped_content, b.blocks_skipped_content) << what;
+  EXPECT_EQ(a.blocks_skipped_intensity, b.blocks_skipped_intensity) << what;
+  EXPECT_EQ(a.groups_by_codec, b.groups_by_codec) << what;
+  EXPECT_EQ(a.compressed_bytes_total, b.compressed_bytes_total) << what;
+  EXPECT_EQ(a.allocated_bytes_total, b.allocated_bytes_total) << what;
+  EXPECT_EQ(a.unmapped_block_reads, b.unmapped_block_reads) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << what;
+  EXPECT_EQ(a.cpu_busy_time, b.cpu_busy_time) << what;
+  EXPECT_EQ(a.journal_bytes_written, b.journal_bytes_written) << what;
+  EXPECT_EQ(a.journal_checkpoints, b.journal_checkpoints) << what;
+  ExpectSameMoments(a.write_latency_us, b.write_latency_us,
+                    what + " engine writes");
+  ExpectSameMoments(a.read_latency_us, b.read_latency_us,
+                    what + " engine reads");
+}
+
+void ExpectSameDeviceStats(const ssd::DeviceStats& a,
+                           const ssd::DeviceStats& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.host_pages_read, b.host_pages_read) << what;
+  EXPECT_EQ(a.host_pages_written, b.host_pages_written) << what;
+  EXPECT_EQ(a.gc_pages_copied, b.gc_pages_copied) << what;
+  EXPECT_EQ(a.gc_runs, b.gc_runs) << what;
+  EXPECT_EQ(a.background_reclaims, b.background_reclaims) << what;
+  EXPECT_EQ(a.total_erases, b.total_erases) << what;
+  EXPECT_EQ(a.max_erase_count, b.max_erase_count) << what;
+  EXPECT_EQ(a.mean_erase_count, b.mean_erase_count) << what;
+  EXPECT_EQ(a.waf, b.waf) << what;
+  EXPECT_EQ(a.busy_time, b.busy_time) << what;
+  EXPECT_EQ(a.energy_j, b.energy_j) << what;
+}
+
+// Both entry points run the same loop: at one shard and one tenant the
+// sharded fabric must report exactly what the direct stack reports.
+TEST(Replay, ShardedAtOneShardOneTenantMatchesDirect) {
+  for (const char* preset : {"Fin1", "Prxy_0", "Fin2"}) {
+    trace::Trace t = SmallTrace(preset, 2.0);
+    for (Scheme scheme : {Scheme::kLzf, Scheme::kEdc}) {
+      const std::string what =
+          std::string(preset) + "/" + std::string(core::SchemeName(scheme));
+      StackConfig cfg = BaseConfig(scheme, ExecutionMode::kFunctional);
+      auto stack = Stack::Create(cfg);
+      ASSERT_TRUE(stack.ok()) << what;
+      auto direct = ReplayTrace(**stack, t);
+      ASSERT_TRUE(direct.ok()) << what << ": " << direct.status().ToString();
+      auto sharded = ReplayShardedTrace(cfg, t, ShardedReplayOptions{});
+      ASSERT_TRUE(sharded.ok())
+          << what << ": " << sharded.status().ToString();
+
+      EXPECT_EQ(direct->requests, sharded->requests) << what;
+      ExpectSameMoments(direct->response_us, sharded->response_us, what);
+      ExpectSameMoments(direct->write_response_us,
+                        sharded->write_response_us, what + " writes");
+      ExpectSameMoments(direct->read_response_us, sharded->read_response_us,
+                        what + " reads");
+      EXPECT_EQ(direct->p50_us, sharded->p50_us) << what;
+      EXPECT_EQ(direct->p95_us, sharded->p95_us) << what;
+      EXPECT_EQ(direct->p99_us, sharded->p99_us) << what;
+      EXPECT_EQ(direct->write_p50_us, sharded->write_p50_us) << what;
+      EXPECT_EQ(direct->write_p95_us, sharded->write_p95_us) << what;
+      EXPECT_EQ(direct->write_p99_us, sharded->write_p99_us) << what;
+      EXPECT_EQ(direct->read_p50_us, sharded->read_p50_us) << what;
+      EXPECT_EQ(direct->read_p95_us, sharded->read_p95_us) << what;
+      EXPECT_EQ(direct->read_p99_us, sharded->read_p99_us) << what;
+      EXPECT_EQ(direct->compression_ratio, sharded->compression_ratio)
+          << what;
+      ExpectSameEngineStats(direct->engine, sharded->engine, what);
+      ExpectSameDeviceStats(direct->device, sharded->device, what);
+    }
+  }
+}
+
+// A request that fails ends the replay with its status on both paths.
+// Durable Prxy_0 on a 64 MiB device with a 4-page journal outgrows a
+// journal half at a checkpoint; the sharded replay used to drop that
+// completion and report success.
+TEST(Replay, FailedRequestFailsDirectAndShardedReplay) {
+  auto preset = trace::PresetByName("Prxy_0", 5.0);
+  ASSERT_TRUE(preset.ok());
+  trace::Trace t = GenerateSynthetic(*preset, 42);
+  StackConfig cfg;
+  cfg.scheme = Scheme::kLzf;
+  cfg.mode = ExecutionMode::kFunctional;
+  cfg.content_profile = "prxy";
+  cfg.ssd = ssd::MakeX25eConfig(64, /*store_data=*/true);
+  cfg.durability.enabled = true;
+  cfg.durability.journal_pages = 4;
+
+  auto stack = Stack::Create(cfg);
+  ASSERT_TRUE(stack.ok());
+  auto direct = ReplayTrace(**stack, t);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kResourceExhausted)
+      << direct.status().ToString();
+
+  struct Shape {
+    u32 shards, tenants;
+  };
+  for (Shape shape : {Shape{1, 1}, Shape{1, 2}, Shape{2, 1}}) {
+    ShardedReplayOptions so;
+    so.shards = shape.shards;
+    so.tenants = shape.tenants;
+    auto sharded = ReplayShardedTrace(cfg, t, so);
+    ASSERT_FALSE(sharded.ok())
+        << shape.shards << " shards, " << shape.tenants << " tenants: "
+        << sharded->response_us.count() << " samples for "
+        << sharded->requests << " requests";
+    EXPECT_EQ(sharded.status().code(), StatusCode::kResourceExhausted)
+        << sharded.status().ToString();
+    if (shape.shards == 1) {
+      EXPECT_EQ(sharded.status().ToString(), direct.status().ToString());
+    }
+  }
 }
 
 }  // namespace
