@@ -8,7 +8,10 @@
 // worker pool: modeled runs calibrate the cost model in parallel,
 // functional runs offload the codec work (results are identical either
 // way — see docs/simulator.md).
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -52,8 +55,8 @@ struct Options {
   // triggers without a bespoke harness.
   double inject_program_fail = 0;  // ssd fault p_program_fail
   u32 breaker_budget = 0;          // engine error budget (0 = off)
-  // Raw device size in MiB, despite the flag's name (0 = 8192 MiB).
-  u32 device_blocks = 0;
+  // Raw device size in MiB, despite the flag's name.
+  u32 device_blocks = 8192;
   bool durable = false;            // durable format + journal + retries
 
   // Sharded multi-tenant replay (edc/shard.hpp): >1 shard or tenant
@@ -61,6 +64,20 @@ struct Options {
   u32 shards = 1;
   u32 tenants = 1;
 };
+
+// A positive decimal count that fits in u32; anything else (empty, signs,
+// trailing characters, zero, overflow) is rejected.
+bool ParsePositiveU32(const char* s, u32* out) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long v = std::strtoull(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v == 0 || v > UINT32_MAX) {
+    return false;
+  }
+  *out = static_cast<u32>(v);
+  return true;
+}
 
 Options Parse(int argc, char** argv) {
   Options o;
@@ -86,7 +103,14 @@ Options Parse(int argc, char** argv) {
     else if (std::strncmp(a, "--health-out=", 13) == 0) o.health_out = a + 13;
     else if (std::strncmp(a, "--inject-program-fail=", 22) == 0) o.inject_program_fail = std::atof(a + 22);
     else if (std::strncmp(a, "--breaker-budget=", 17) == 0) o.breaker_budget = static_cast<u32>(std::atoi(a + 17));
-    else if (std::strncmp(a, "--device-blocks=", 16) == 0) o.device_blocks = static_cast<u32>(std::atoi(a + 16));
+    else if (std::strncmp(a, "--device-blocks=", 16) == 0) {
+      if (!ParsePositiveU32(a + 16, &o.device_blocks)) {
+        std::fprintf(stderr,
+                     "--device-blocks wants a positive MiB count, got '%s'\n",
+                     a + 16);
+        std::exit(2);
+      }
+    }
     else if (std::strcmp(a, "--durable") == 0) o.durable = true;
     else if (std::strncmp(a, "--shards=", 9) == 0) o.shards = static_cast<u32>(std::atoi(a + 9));
     else if (std::strncmp(a, "--tenants=", 10) == 0) o.tenants = static_cast<u32>(std::atoi(a + 10));
@@ -176,9 +200,7 @@ int main(int argc, char** argv) {
   // Program-failure survival needs the durable on-flash format: retries
   // relocate-and-rewrite extents, which requires store_data + the journal.
   const bool durable = o.durable || o.inject_program_fail > 0;
-  cfg.ssd = ssd::MakeX25eConfig(o.device_blocks != 0 ? o.device_blocks
-                                                     : 8192,
-                                /*store_data=*/durable);
+  cfg.ssd = ssd::MakeX25eConfig(o.device_blocks, /*store_data=*/durable);
   if (o.inject_program_fail > 0) {
     cfg.ssd.fault.p_program_fail = o.inject_program_fail;
     cfg.ssd.fault.seed = o.seed + 1;

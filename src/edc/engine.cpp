@@ -4,9 +4,9 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <span>
 
 #include "common/check.hpp"
-#include "common/crc32.hpp"
 #include "common/varint.hpp"
 #include "common/worker_pool.hpp"
 
@@ -68,7 +68,6 @@ Engine::Engine(const EngineConfig& config, ssd::Device* device,
         << "durable mode needs functional execution (real payloads)";
     EDC_CHECK(config_.durability.max_program_retries < 16)
         << "program-retry budget exceeds the journal's attempt bound";
-    flash_image_.assign(data_pages_ * kLogicalBlockSize, 0);
   }
   RegisterObservability();
 }
@@ -934,40 +933,41 @@ Result<SimTime> Engine::Read(SimTime arrival, u64 offset, u32 size) {
   return completion;
 }
 
-Status Engine::CheckExtent(const GroupInfo& g,
-                           const std::vector<Bytes>& pages) const {
-  auto fail = [](const std::string& why) {
-    return Status::DataLoss("read integrity: " + why);
-  };
-  Bytes span(pages.size() * kLogicalBlockSize, 0);
-  for (std::size_t p = 0; p < pages.size(); ++p) {
-    if (pages[p].empty()) return fail("extent page never programmed");
-    std::copy(pages[p].begin(), pages[p].end(),
-              span.begin() +
-                  static_cast<std::ptrdiff_t>(p * kLogicalBlockSize));
+Result<Bytes> Engine::ParseStoredExtent(const GroupInfo& g,
+                                        const std::vector<Bytes>& pages) {
+  Bytes span;
+  span.reserve(pages.size() * kLogicalBlockSize);
+  for (const Bytes& page : pages) {
+    if (page.size() != kLogicalBlockSize) {
+      return Status::DataLoss("extent page missing or truncated");
+    }
+    span.insert(span.end(), page.begin(), page.end());
   }
-  std::size_t off = static_cast<std::size_t>(
+  const std::size_t off = static_cast<std::size_t>(
       g.start_quantum % kQuantaPerBlock) * kQuantumBytes;
   if (off + g.compressed_bytes > span.size()) {
-    return fail("extent overruns its pages");
+    return Status::DataLoss("extent overruns its pages");
   }
-  ByteSpan extent(span.data() + off, g.compressed_bytes);
+  ByteSpan extent = ByteSpan(span).subspan(off, g.compressed_bytes);
   auto info = codec::ParseExtentHeader(extent);
-  if (!info.ok()) return fail(info.status().ToString());
+  if (!info.ok()) return Status::DataLoss(info.status().message());
   if (info->first_lba != g.first_lba || info->n_blocks != g.orig_blocks ||
-      info->codec != g.tag) {
-    return fail("extent header disagrees with the mapping");
+      info->codec != g.tag ||
+      info->header_size + info->frame_size != g.compressed_bytes) {
+    return Status::DataLoss("extent header disagrees with the mapping");
   }
   auto frame = codec::ExtentFrame(extent);
-  if (!frame.ok()) return fail(frame.status().ToString());
-  return Status::Ok();
+  if (!frame.ok()) return Status::DataLoss(frame.status().message());
+  return Bytes(frame->begin(), frame->end());
 }
 
 Status Engine::VerifyExtentRead(const GroupInfo& g,
                                 const std::vector<Bytes>& pages,
                                 SimTime at) {
-  Status check = CheckExtent(g, pages);
-  if (check.ok()) return check;
+  auto frame = ParseStoredExtent(g, pages);
+  if (frame.ok()) return Status::Ok();
+  Status check =
+      Status::DataLoss("read integrity: " + frame.status().message());
   ++stats_.media_errors;
   if (trace_ != nullptr) {
     trace_->Instant("extent.verify_fail", "fault", obs::kDeviceTid, at,
@@ -1016,7 +1016,7 @@ Result<Engine::ScrubReport> Engine::Scrub(SimTime now) {
       if (!io.ok()) return io.status();
       t = io->completion;
       ++report.groups_scanned;
-      if (CheckExtent(g, io->pages).ok()) continue;
+      if (ParseStoredExtent(g, io->pages).ok()) continue;
       ++report.crc_errors;
       if (trace_ != nullptr) {
         trace_->Instant("scrub.crc_error", "fault", obs::kDeviceTid, t,
@@ -1024,7 +1024,7 @@ Result<Engine::ScrubReport> Engine::Scrub(SimTime now) {
       }
       auto rebuilt = device_->ReadRebuilt(first_page, n_pages, t);
       if (rebuilt.ok()) t = rebuilt->completion;
-      if (rebuilt.ok() && CheckExtent(g, rebuilt->pages).ok()) {
+      if (rebuilt.ok() && ParseStoredExtent(g, rebuilt->pages).ok()) {
         auto fix = device_->WriteRepair(first_page, rebuilt->pages, t);
         if (!fix.ok()) return fix.status();
         t = fix->completion;
@@ -1144,25 +1144,40 @@ Result<SimTime> Engine::DurableProgramExtent(
     u64 group_id, ByteSpan extent, SimTime ready,
     std::vector<u64>* attempt_starts) {
   u32 retries_left = config_.durability.max_program_retries;
+  std::vector<Bytes> owned;
   for (;;) {
     const GroupInfo& g = map_.Group(group_id);
-    // Compose the extent into the host-side page image, then program the
-    // covering pages byte-exact (sub-page neighbours ride along, so their
-    // on-flash bytes are preserved by the rewrite).
-    std::size_t byte_off =
-        static_cast<std::size_t>(g.start_quantum) * kQuantumBytes;
-    EDC_CHECK(byte_off + extent.size() <= flash_image_.size())
-        << "extent of group " << group_id << " overruns the data area";
-    std::copy(extent.begin(), extent.end(),
-              flash_image_.begin() + static_cast<std::ptrdiff_t>(byte_off));
     auto [first_page, n_pages] = CoveringPages(g.start_quantum, g.quanta);
-    std::vector<Bytes> pages;
-    pages.reserve(static_cast<std::size_t>(n_pages));
-    for (u64 p = 0; p < n_pages; ++p) {
-      auto begin = flash_image_.begin() +
-                   static_cast<std::ptrdiff_t>((first_page + p) *
-                                               kLogicalBlockSize);
-      pages.emplace_back(begin, begin + kLogicalBlockSize);
+    EDC_CHECK(first_page + n_pages <= data_pages_)
+        << "extent of group " << group_id << " overruns the data area";
+    std::span<const Bytes> pages;
+    if (g.quanta < kQuantaPerBlock) {
+      // Sub-page extent (the allocator keeps it inside one page): compose
+      // it into the page image, whose other bytes re-send the neighbours.
+      Bytes& image = shared_pages_[first_page];
+      if (image.empty()) image.assign(kLogicalBlockSize, 0);
+      std::size_t off = static_cast<std::size_t>(
+          g.start_quantum % kQuantaPerBlock) * kQuantumBytes;
+      EDC_CHECK(n_pages == 1 && off + extent.size() <= kLogicalBlockSize)
+          << "sub-page extent of group " << group_id << " straddles a page";
+      std::copy(extent.begin(), extent.end(),
+                image.begin() + static_cast<std::ptrdiff_t>(off));
+      pages = std::span<const Bytes>(&image, 1);
+    } else {
+      // Page-aligned extent that owns whole pages: program it straight
+      // from the extent bytes, the last page zero-padded.
+      EDC_CHECK(g.start_quantum % kQuantaPerBlock == 0)
+          << "multi-quantum extent of group " << group_id
+          << " is not page aligned";
+      owned.assign(static_cast<std::size_t>(n_pages),
+                   Bytes(kLogicalBlockSize, 0));
+      for (std::size_t off = 0; off < extent.size();
+           off += kLogicalBlockSize) {
+        std::copy_n(extent.begin() + static_cast<std::ptrdiff_t>(off),
+                    std::min(kLogicalBlockSize, extent.size() - off),
+                    owned[off / kLogicalBlockSize].begin());
+      }
+      pages = owned;
     }
     auto io = device_->Write(first_page, pages, ready);
     if (io.ok()) {
@@ -1381,7 +1396,7 @@ Status Engine::RecoverFromDevice(SimTime now) {
   cache_lru_.clear();
   cache_index_.clear();
   seq_ = SequentialityDetector(config_.seq);
-  std::fill(flash_image_.begin(), flash_image_.end(), u8{0});
+  shared_pages_.clear();
   stats_.recovered_groups = 0;
 
   u64 recovered_gen = 0;
@@ -1426,41 +1441,22 @@ Status Engine::RecoverFromDevice(SimTime now) {
   }
 
   // --- Re-read every live extent, verify, rebuild the payload store -----
+  // A page holding sub-page extents also seeds its image in shared_pages_,
+  // so later programs of that page re-send these neighbours.
   for (const auto& [id, g] : map_.groups()) {
     auto [first_page, n_pages] = CoveringPages(g.start_quantum, g.quanta);
     auto io = device_->Read(first_page, n_pages, now);
     if (!io.ok()) return io.status();
-    Bytes span(static_cast<std::size_t>(n_pages) * kLogicalBlockSize, 0);
-    for (std::size_t p = 0; p < io->pages.size(); ++p) {
-      const Bytes& page = io->pages[p];
-      if (page.empty()) {
-        return Status::DataLoss(
-            "recovery: journaled extent page " +
-            std::to_string(first_page + p) + " was never programmed");
-      }
-      std::copy(page.begin(), page.end(),
-                span.begin() + static_cast<std::ptrdiff_t>(
-                                   p * kLogicalBlockSize));
+    auto frame = ParseStoredExtent(g, io->pages);
+    if (!frame.ok()) {
+      return Status::DataLoss("recovery: journaled extent at page " +
+                              std::to_string(first_page) + ": " +
+                              frame.status().message());
     }
-    std::size_t off = static_cast<std::size_t>(
-        g.start_quantum % kQuantaPerBlock) * kQuantumBytes;
-    if (off + g.compressed_bytes > span.size()) {
-      return Status::DataLoss("recovery: extent overruns its pages");
+    payloads_[id] = std::move(*frame);
+    if (g.quanta < kQuantaPerBlock) {
+      shared_pages_.try_emplace(first_page, std::move(io->pages[0]));
     }
-    ByteSpan extent(span.data() + off, g.compressed_bytes);
-    auto info = codec::ParseExtentHeader(extent);
-    if (!info.ok()) return info.status();
-    if (info->first_lba != g.first_lba || info->n_blocks != g.orig_blocks ||
-        info->codec != g.tag) {
-      return Status::DataLoss(
-          "recovery: extent header disagrees with the journaled mapping");
-    }
-    auto frame = codec::ExtentFrame(extent);
-    if (!frame.ok()) return frame.status();
-    payloads_[id] = Bytes(frame->begin(), frame->end());
-    std::copy(extent.begin(), extent.end(),
-              flash_image_.begin() + static_cast<std::ptrdiff_t>(
-                                         g.start_quantum * kQuantumBytes));
     ++stats_.recovered_groups;
   }
 
@@ -1482,132 +1478,6 @@ Status Engine::RecoverFromDevice(SimTime now) {
   }
   auto flushed = JournalFlush(trimmed->completion);
   if (!flushed.ok()) return flushed.status();
-  return Status::Ok();
-}
-
-namespace {
-constexpr u32 kStateMagic = 0x53434445;  // "EDCS"
-constexpr u64 kStateVersion = 1;
-}  // namespace
-
-Result<Bytes> Engine::SaveState() const {
-  if (seq_.has_pending()) {
-    return Status::FailedPrecondition(
-        "engine: flush the pending merge run before SaveState");
-  }
-  Bytes out;
-  PutU32Le(&out, kStateMagic);
-  PutVarint(&out, kStateVersion);
-
-  Bytes map_image = map_.Serialize();
-  PutVarint(&out, map_image.size());
-  out.insert(out.end(), map_image.begin(), map_image.end());
-
-  PutVarint(&out, versions_.size());
-  for (const auto& [lba, version] : versions_) {
-    PutVarint(&out, lba);
-    PutVarint(&out, version);
-  }
-
-  PutVarint(&out, payloads_.size());
-  for (const auto& [gid, frame] : payloads_) {
-    PutVarint(&out, gid);
-    PutVarint(&out, frame.size());
-    out.insert(out.end(), frame.begin(), frame.end());
-  }
-
-  PutU32Le(&out, Crc32(out));
-  return out;
-}
-
-Status Engine::RestoreState(ByteSpan image) {
-  owner_.Check("Engine::RestoreState");
-  if (image.size() < 8) return Status::DataLoss("engine: image too short");
-  ByteSpan body = image.first(image.size() - 4);
-  std::size_t crc_pos = image.size() - 4;
-  auto stored_crc = GetU32Le(image, &crc_pos);
-  if (!stored_crc.ok()) return stored_crc.status();
-  if (Crc32(body) != *stored_crc) {
-    return Status::DataLoss("engine: state CRC mismatch");
-  }
-
-  std::size_t pos = 0;
-  auto magic = GetU32Le(body, &pos);
-  if (!magic.ok()) return magic.status();
-  if (*magic != kStateMagic) return Status::DataLoss("engine: bad magic");
-  auto version = GetVarint(body, &pos);
-  if (!version.ok()) return version.status();
-  if (*version != kStateVersion) {
-    return Status::DataLoss("engine: unsupported state version");
-  }
-
-  auto map_len = GetVarint(body, &pos);
-  if (!map_len.ok()) return map_len.status();
-  if (pos + *map_len > body.size()) {
-    return Status::DataLoss("engine: truncated map image");
-  }
-  auto map = BlockMap::Deserialize(body.subspan(pos, *map_len));
-  if (!map.ok()) return map.status();
-  pos += *map_len;
-
-  std::unordered_map<Lba, u64> versions;
-  auto n_versions = GetVarint(body, &pos);
-  if (!n_versions.ok()) return n_versions.status();
-  for (u64 i = 0; i < *n_versions; ++i) {
-    auto lba = GetVarint(body, &pos);
-    auto ver = GetVarint(body, &pos);
-    if (!lba.ok() || !ver.ok()) {
-      return Status::DataLoss("engine: truncated version record");
-    }
-    versions[*lba] = *ver;
-  }
-
-  std::unordered_map<u64, Bytes> payloads;
-  auto n_payloads = GetVarint(body, &pos);
-  if (!n_payloads.ok()) return n_payloads.status();
-  for (u64 i = 0; i < *n_payloads; ++i) {
-    auto gid = GetVarint(body, &pos);
-    auto len = GetVarint(body, &pos);
-    if (!gid.ok() || !len.ok() || pos + *len > body.size()) {
-      return Status::DataLoss("engine: truncated payload record");
-    }
-    payloads[*gid] = Bytes(body.begin() + static_cast<std::ptrdiff_t>(pos),
-                           body.begin() +
-                               static_cast<std::ptrdiff_t>(pos + *len));
-    pos += *len;
-  }
-
-  map_ = std::move(*map);
-  versions_ = std::move(versions);
-  payloads_ = std::move(payloads);
-  cache_lru_.clear();
-  cache_index_.clear();
-  // Clean-shutdown semantics: everything in the image was flushed.
-  flushed_frontier_page_ =
-      (map_.allocator().bump_used() + kQuantaPerBlock - 1) /
-      kQuantaPerBlock;
-  if (config_.durability.enabled) {
-    // Rebuild the host-side page composition from the restored frames and
-    // start journaling from scratch (the image is host state, not flash).
-    std::fill(flash_image_.begin(), flash_image_.end(), u8{0});
-    for (const auto& [id, g] : map_.groups()) {
-      auto it = payloads_.find(id);
-      if (it == payloads_.end()) continue;
-      auto extent = codec::BuildExtent(g.first_lba, g.orig_blocks,
-                                       it->second);
-      if (!extent.ok()) return extent.status();
-      std::size_t off =
-          static_cast<std::size_t>(g.start_quantum) * kQuantumBytes;
-      if (off + extent->size() > flash_image_.size()) {
-        return Status::DataLoss("engine: restored extent overruns device");
-      }
-      std::copy(extent->begin(), extent->end(),
-                flash_image_.begin() + static_cast<std::ptrdiff_t>(off));
-    }
-    journal_.reset();
-    journal_half_ = 0;
-    journal_flushed_ = 0;
-  }
   return Status::Ok();
 }
 

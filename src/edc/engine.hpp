@@ -218,23 +218,14 @@ class Engine {
   /// version — the expected value for ReadBlockData (test oracle).
   Bytes ExpectedBlockData(Lba block) const;
 
-  /// Persist the engine's durable state — mapping table, per-block write
-  /// versions and (functional mode) the stored compressed frames — into
-  /// one CRC-protected image. The pending merge buffer must be empty
-  /// (call FlushPending first); clean-shutdown semantics.
-  Result<Bytes> SaveState() const;
-
-  /// Restore a SaveState image onto this engine (typically freshly
-  /// constructed with the same configuration and content seed). Replaces
-  /// the mapping, versions and payload store; resets caches.
-  Status RestoreState(ByteSpan image);
-
   /// Crash recovery (durable mode): rebuild the mapping table, allocator,
   /// version oracle and payload store from the on-device journal and the
   /// extent headers on flash. Call after the device is powered again
   /// (Ssd::RestorePower). Every acknowledged operation is recovered; the
   /// at-most-one operation in flight at the cut is rolled back. Finishes
   /// by checkpointing the recovered state into a fresh journal generation.
+  /// This is also the clean remount: FlushPending on the old engine, then
+  /// RecoverFromDevice on a fresh one over the same device.
   Status RecoverFromDevice(SimTime now = 0);
 
   /// Outcome of one background scrub pass (Engine::Scrub).
@@ -366,7 +357,10 @@ class Engine {
 
   /// Program a group's extent bytes to its covering flash pages, retrying
   /// program failures by relocating the group to a fresh extent. Appends
-  /// each relocation target to `attempt_starts`.
+  /// each relocation target to `attempt_starts`. An extent of a full page
+  /// or more owns its pages and is programmed straight from `extent`
+  /// (last page zero-padded); a sub-page extent is composed into its
+  /// page's image in shared_pages_ so the neighbours ride along.
   Result<SimTime> DurableProgramExtent(u64 group_id, ByteSpan extent,
                                        SimTime ready,
                                        std::vector<u64>* attempt_starts);
@@ -387,10 +381,12 @@ class Engine {
   Status VerifyExtentRead(const GroupInfo& g,
                           const std::vector<Bytes>& pages, SimTime at);
 
-  /// The pure check behind VerifyExtentRead: no counters, no breaker, no
-  /// trace — shared by the scrub, which detects without escalating.
-  Status CheckExtent(const GroupInfo& g,
-                     const std::vector<Bytes>& pages) const;
+  /// The one extent parser, shared by read verification, the scrub and
+  /// recovery: cut the group's extent out of its covering pages, check
+  /// the header and CRCs against the mapping and return the frame. Pure:
+  /// no counters, no breaker, no trace. Failures are kDataLoss.
+  static Result<Bytes> ParseStoredExtent(const GroupInfo& g,
+                                         const std::vector<Bytes>& pages);
 
   /// Fetch a group's covering pages with the configured bounded retry of
   /// transient kUnavailable (shared by Read and Scrub).
@@ -444,7 +440,11 @@ class Engine {
   void ObserveBreakerTransition(bool open, SimTime at);
 
   std::unordered_map<Lba, u64> versions_;
-  std::unordered_map<u64, Bytes> payloads_;  // group id -> framed bytes
+  /// Group id -> framed bytes: the read source in functional mode. In
+  /// durable mode the same frame also sits on flash inside its extent;
+  /// reads are still served from here because the device has no untimed
+  /// read (Device::Read would move simulated time and fault injection).
+  std::unordered_map<u64, Bytes> payloads_;
   std::list<u64> cache_lru_;                 // front = most recent
   std::unordered_map<u64, std::list<u64>::iterator> cache_index_;
   std::vector<SimTime> cpu_contexts_busy_;   // per-context busy-until
@@ -454,11 +454,14 @@ class Engine {
   u64 flushed_frontier_page_ = 0;
   u64 ops_since_audit_ = 0;
   // Durable-mode state. `data_pages_` is the device capacity left after
-  // the journal reservation; `flash_image_` is the host-side composition
-  // of every data page (extent writes program full pages, so sub-page
-  // neighbours must be re-sent byte-exact).
+  // the journal reservation. `shared_pages_` holds the 4 KiB image of each
+  // data page that has held a sub-page extent: a page program rewrites
+  // the whole page, so the neighbours of a sub-page extent must be re-sent
+  // byte-exact. The allocator never merges free space, so such a page is
+  // never again owned by a full-page extent; the map grows with data
+  // written, not with device capacity.
   u64 data_pages_ = 0;
-  Bytes flash_image_;
+  std::unordered_map<Lba, Bytes> shared_pages_;
   std::unique_ptr<JournalWriter> journal_;
   u32 journal_half_ = 0;        // half holding the active generation
   std::size_t journal_flushed_ = 0;  // stream bytes already programmed

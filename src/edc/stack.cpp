@@ -1,6 +1,8 @@
 #include "edc/stack.hpp"
 
 #include <algorithm>
+#include <new>
+#include <stdexcept>
 
 namespace edc::core {
 
@@ -63,8 +65,18 @@ Result<StackParts> BuildStackParts(
   StackParts parts;
   bool store_data = false;
   parts.devices.reserve(n);
-  for (u32 i = 0; i < n; ++i) {
-    parts.devices.push_back(MakeDeviceSlice(config, n, &store_data));
+  // Device tables are sized by capacity: an oversized device must fail
+  // this call, not abort the process.
+  try {
+    for (u32 i = 0; i < n; ++i) {
+      parts.devices.push_back(MakeDeviceSlice(config, n, &store_data));
+    }
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "stack: not enough memory for the configured device capacity");
+  } catch (const std::length_error&) {
+    return Status::ResourceExhausted(
+        "stack: configured device capacity exceeds addressable memory");
   }
   if (config.durability.enabled && !store_data) {
     return Status::InvalidArgument(

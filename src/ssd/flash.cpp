@@ -12,7 +12,7 @@ FlashArray::FlashArray(const SsdGeometry& geometry, bool store_data)
       write_ptr_(geometry.num_blocks, 0),
       valid_per_block_(geometry.num_blocks, 0),
       erase_counts_(geometry.num_blocks, 0) {
-  if (store_data_) data_.resize(geometry.raw_pages());
+  if (store_data_) data_.resize(geometry.num_blocks);
 }
 
 Status FlashArray::Program(Ppa ppa, ByteSpan data) {
@@ -35,7 +35,11 @@ Status FlashArray::Program(Ppa ppa, ByteSpan data) {
   ++write_ptr_[block];
   ++valid_per_block_[block];
   ++total_programs_;
-  if (store_data_) data_[ppa].assign(data.begin(), data.end());
+  if (store_data_) {
+    std::vector<Bytes>& pages = data_[block];
+    if (pages.empty()) pages.resize(geometry_.pages_per_block);
+    pages[in_block].assign(data.begin(), data.end());
+  }
   return Status::Ok();
 }
 
@@ -46,7 +50,8 @@ Result<Bytes> FlashArray::Read(Ppa ppa) const {
   if (states_[ppa] == PageState::kFree) {
     return Status::FailedPrecondition("flash: read of unwritten page");
   }
-  return store_data_ ? data_[ppa] : Bytes{};
+  if (!store_data_) return Bytes{};
+  return data_[block_of(ppa)][page_in_block(ppa)];
 }
 
 Status FlashArray::Invalidate(Ppa ppa) {
@@ -72,8 +77,8 @@ Status FlashArray::EraseBlock(u32 block) {
   Ppa base = ppa_of(block, 0);
   for (u32 p = 0; p < geometry_.pages_per_block; ++p) {
     states_[base + p] = PageState::kFree;
-    if (store_data_) data_[base + p].clear();
   }
+  if (store_data_) data_[block] = {};
   write_ptr_[block] = 0;
   ++erase_counts_[block];
   ++total_erases_;

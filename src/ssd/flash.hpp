@@ -63,7 +63,10 @@ class FlashArray {
   std::vector<u32> write_ptr_;        // per block
   std::vector<u32> valid_per_block_;  // per block
   std::vector<u32> erase_counts_;     // per block
-  std::vector<Bytes> data_;           // per page, only if store_data_
+  // Page bytes, only if store_data_: one slot per page of each block that
+  // has been programmed since its last erase; an erased or never-written
+  // block holds no slots, so storage follows data written, not capacity.
+  std::vector<std::vector<Bytes>> data_;
   u64 total_programs_ = 0;
   u64 total_erases_ = 0;
 };

@@ -4,7 +4,8 @@
 // stays byte-identical to the serial seed path, for any thread count.
 // These tests replay the same trace through stacks that differ only in
 // the attached pool (none / 1 thread / 8 threads) and require exact
-// equality, including the SaveState image. Run under TSan (see
+// equality, down to the mapping table and every stored frame. Run under
+// TSan (see
 // docs/testing.md) this is also the data-race canary for the offload.
 #include <gtest/gtest.h>
 
@@ -83,6 +84,24 @@ void ExpectIdentical(const ReplayResult& a, const ReplayResult& b,
   ExpectSameStats(ea.read_latency_us, eb.read_latency_us, what);
 }
 
+// Everything the engine persists must be equal: the mapping table, the
+// version oracle (seen through the expected content of every written
+// block) and every stored compressed frame, by group id.
+void ExpectSameStoredState(core::Engine& a, core::Engine& b,
+                           const trace::Trace& t, const char* what) {
+  EXPECT_EQ(a.map().Serialize(), b.map().Serialize()) << what;
+  for (const auto& r : t.records) {
+    if (r.op != trace::OpType::kWrite) continue;
+    for (u64 i = 0; i < r.block_count(); ++i) {
+      Lba block = r.first_block() + i;
+      ASSERT_EQ(a.ExpectedBlockData(block), b.ExpectedBlockData(block))
+          << what << ": block " << block;
+    }
+  }
+  EXPECT_EQ(*a.MutablePayloadsForTest(), *b.MutablePayloadsForTest())
+      << what;
+}
+
 void RunDeterminismCheck(Scheme scheme) {
   const trace::Trace t = MultiRunTrace();
   ASSERT_GT(t.records.size(), 200u);
@@ -97,7 +116,6 @@ void RunDeterminismCheck(Scheme scheme) {
       {"serial", nullptr}, {"pool1", &pool1}, {"pool8", &pool8}};
 
   std::vector<ReplayResult> results;
-  std::vector<Bytes> images;
   std::vector<std::unique_ptr<Stack>> stacks;
   for (const Variant& v : variants) {
     auto stack = Stack::Create(PoolConfig(scheme, v.pool));
@@ -105,20 +123,16 @@ void RunDeterminismCheck(Scheme scheme) {
     auto result = ReplayTrace(**stack, t);
     ASSERT_TRUE(result.ok()) << v.name << ": "
                              << result.status().ToString();
-    auto image = (*stack)->engine().SaveState();
-    ASSERT_TRUE(image.ok()) << v.name << ": " << image.status().ToString();
     results.push_back(std::move(*result));
-    images.push_back(std::move(*image));
     stacks.push_back(std::move(*stack));
   }
 
   for (std::size_t i = 1; i < results.size(); ++i) {
     SCOPED_TRACE(variants[i].name);
     ExpectIdentical(results[0], results[i], variants[i].name);
-    // The durable image covers the mapping table, write versions and
-    // every stored compressed frame — byte equality here means the pool
-    // changed nothing the engine persists.
-    ASSERT_EQ(images[0], images[i]) << variants[i].name;
+    // Equality here means the pool changed nothing the engine persists.
+    ExpectSameStoredState(stacks[0]->engine(), stacks[i]->engine(), t,
+                          variants[i].name);
   }
 
   // Spot-check reads straight through the pooled stack too.
@@ -169,11 +183,8 @@ TEST(ParallelDeterminism, EdcBacklogFeedbackStaysSerialAndIdentical) {
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   ExpectIdentical(*ra, *rb, "backlog-feedback");
-  auto ia = (*a)->engine().SaveState();
-  auto ib = (*b)->engine().SaveState();
-  ASSERT_TRUE(ia.ok());
-  ASSERT_TRUE(ib.ok());
-  ASSERT_EQ(*ia, *ib);
+  ExpectSameStoredState((*a)->engine(), (*b)->engine(), t,
+                        "backlog-feedback");
 }
 
 }  // namespace

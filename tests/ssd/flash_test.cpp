@@ -47,6 +47,7 @@ TEST(FlashArray, InvalidateAndEraseLifecycle) {
   for (u32 p = 0; p < 4; ++p) {
     ASSERT_TRUE(flash.Program(p, Payload(static_cast<u8>(p))).ok());
   }
+  ASSERT_TRUE(flash.Program(4, Payload(7)).ok());  // block 1, page 0
   EXPECT_EQ(flash.valid_pages(0), 4u);
   // Cannot erase while valid pages remain.
   EXPECT_FALSE(flash.EraseBlock(0).ok());
@@ -54,12 +55,17 @@ TEST(FlashArray, InvalidateAndEraseLifecycle) {
     ASSERT_TRUE(flash.Invalidate(p).ok());
   }
   EXPECT_EQ(flash.valid_pages(0), 0u);
+  // Invalid pages keep their bytes until the block is erased.
+  EXPECT_EQ(*flash.Read(2), Payload(2));
   ASSERT_TRUE(flash.EraseBlock(0).ok());
   EXPECT_EQ(flash.erase_count(0), 1u);
   EXPECT_EQ(flash.page_state(0), PageState::kFree);
   EXPECT_EQ(flash.write_pointer(0), 0u);
-  // Reprogrammable after erase.
+  EXPECT_FALSE(flash.Read(2).ok());
+  // Reprogrammable after erase; other blocks keep their bytes.
   EXPECT_TRUE(flash.Program(0, Payload(9)).ok());
+  EXPECT_EQ(*flash.Read(0), Payload(9));
+  EXPECT_EQ(*flash.Read(4), Payload(7));
 }
 
 TEST(FlashArray, DoubleInvalidateFails) {
