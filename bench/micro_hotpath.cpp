@@ -14,6 +14,10 @@
 //     x86 sse42/avx2) measured kernel-by-kernel — match extension, LZ
 //     copy, bit-pack flush, CRC-32 — plus whole-codec compress/decompress
 //     with that backend forced active;
+//   * content synthesis: ns per 4 KiB block per chunk kind, and for the
+//     profile's own kind mix, for the fin and prxy profiles, plus the
+//     generator's construction time (vocabulary and Zipf tables) — the
+//     harness cost functional replays pay on their write path;
 //   * observability overhead: the same functional-mode replay with no
 //     observer, a metrics+trace observer, and the full continuous
 //     telemetry stack (sampler + watchdog + flight recorder), so the
@@ -24,6 +28,8 @@
 //
 // The committed baseline lives in BENCH_hotpath.json (refreshed by
 // scripts/bench_baseline.sh; see docs/performance.md).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -442,6 +448,63 @@ std::vector<BackendResult> BenchBackends(const Bytes& corpus,
   return out;
 }
 
+struct DatagenResult {
+  std::string profile;
+  double construct_ms = 0;  // ContentGenerator constructor, median
+  std::array<double, datagen::kNumChunkKinds> kind_ns{};  // per 4 KiB block
+  double mix_ns = 0;  // consecutive LBAs: the profile's own kind mix
+};
+
+std::string KindName(std::size_t k) {
+  return std::string(
+      datagen::ChunkKindName(static_cast<datagen::ChunkKind>(k)));
+}
+
+// Median ns per 4 KiB GenerateInto over `lbas` (versions 1..), 5 passes.
+double GenerateNsPerBlock(const datagen::ContentGenerator& gen,
+                          const std::vector<Lba>& lbas) {
+  if (lbas.empty()) return 0;
+  Bytes block(kLogicalBlockSize);
+  std::vector<double> passes;
+  for (u64 pass = 0; pass < 5; ++pass) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (Lba lba : lbas) gen.GenerateInto(lba, pass + 1, block);
+    passes.push_back(Seconds(t0) * 1e9 / static_cast<double>(lbas.size()));
+  }
+  std::sort(passes.begin(), passes.end());
+  return passes[passes.size() / 2];
+}
+
+DatagenResult BenchDatagen(const std::string& profile_name, u64 seed) {
+  DatagenResult r;
+  r.profile = profile_name;
+  auto profile = datagen::ProfileByName(profile_name);
+  if (!profile.ok()) return r;
+  std::vector<double> builds;
+  for (int i = 0; i < 5; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    datagen::ContentGenerator probe(*profile, seed + static_cast<u64>(i));
+    builds.push_back(Seconds(t0) * 1e3);
+  }
+  std::sort(builds.begin(), builds.end());
+  r.construct_ms = builds[builds.size() / 2];
+
+  const datagen::ContentGenerator gen(*profile, seed);
+  constexpr std::size_t kBlocksPerKind = 1000;
+  std::array<std::vector<Lba>, datagen::kNumChunkKinds> by_kind;
+  std::vector<Lba> mix;
+  for (Lba lba = 0; lba < 200000; ++lba) {
+    auto& v = by_kind[static_cast<std::size_t>(gen.KindForLba(lba))];
+    if (v.size() < kBlocksPerKind) v.push_back(lba);
+    if (mix.size() < kBlocksPerKind) mix.push_back(lba);
+  }
+  for (std::size_t k = 0; k < datagen::kNumChunkKinds; ++k) {
+    r.kind_ns[k] = GenerateNsPerBlock(gen, by_kind[k]);
+  }
+  r.mix_ns = GenerateNsPerBlock(gen, mix);
+  return r;
+}
+
 struct ObsOverheadResult {
   std::size_t requests = 0;       // per measured replay
   double off_req_per_sec = 0;     // no observer attached
@@ -645,7 +708,8 @@ void WriteJson(const std::string& path, const MappingResult& m,
                const std::vector<CodecScratchResult>& codecs,
                const std::vector<BackendResult>& backends,
                const ObsOverheadResult& obs,
-               const ShardScalingResult& sharding) {
+               const ShardScalingResult& sharding,
+               const std::vector<DatagenResult>& datagen_rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -729,7 +793,19 @@ void WriteJson(const std::string& path, const MappingResult& m,
                  r.shards, r.makespan_ms, r.sim_write_mbps, r.speedup,
                  i + 1 < sharding.rows.size() ? "," : "");
   }
-  std::fprintf(f, "    ]\n  }\n}\n");
+  std::fprintf(f, "    ]\n  },\n  \"datagen\": [\n");
+  for (std::size_t i = 0; i < datagen_rows.size(); ++i) {
+    const DatagenResult& r = datagen_rows[i];
+    std::fprintf(f, "    {\"profile\": \"%s\", \"construct_ms\": %.3f",
+                 r.profile.c_str(), r.construct_ms);
+    for (std::size_t k = 0; k < datagen::kNumChunkKinds; ++k) {
+      std::fprintf(f, ", \"%s_ns_per_block\": %.0f", KindName(k).c_str(),
+                   r.kind_ns[k]);
+    }
+    std::fprintf(f, ", \"mix_ns_per_block\": %.0f}%s\n", r.mix_ns,
+                 i + 1 < datagen_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("[bench] wrote %s\n", path.c_str());
 }
@@ -761,6 +837,26 @@ int main(int argc, char** argv) {
   std::fputs(map_table.ToString().c_str(), stdout);
   std::printf("BlockMap: %.0f finds/s, %.0f install+find+release cycles/s\n",
               m.blockmap_find_per_sec, m.blockmap_cycle_per_sec);
+
+  std::vector<DatagenResult> datagen_rows;
+  std::vector<std::string> datagen_header = {"profile", "construct ms"};
+  for (std::size_t k = 0; k < datagen::kNumChunkKinds; ++k) {
+    datagen_header.push_back(KindName(k) + " ns");
+  }
+  datagen_header.push_back("mix ns");
+  TextTable datagen_table(datagen_header);
+  for (const char* name : {"fin", "prxy"}) {
+    datagen_rows.push_back(BenchDatagen(name, opt.seed));
+    const DatagenResult& r = datagen_rows.back();
+    std::vector<std::string> row = {r.profile,
+                                    TextTable::Num(r.construct_ms, 3)};
+    for (double ns : r.kind_ns) row.push_back(TextTable::Num(ns, 0));
+    row.push_back(TextTable::Num(r.mix_ns, 0));
+    datagen_table.AddRow(row);
+  }
+  std::printf("\nContent synthesis (ns per 4 KiB block, median of 5 passes "
+              "over 1000 blocks)\n%s",
+              datagen_table.ToString().c_str());
 
   auto profile = datagen::ProfileByName("Fin1");
   Bytes corpus;
@@ -840,7 +936,8 @@ int main(int argc, char** argv) {
               sharding.direct_sim_mbps, shard_table.ToString().c_str());
 
   if (!opt.json_path.empty()) {
-    WriteJson(opt.json_path, m, crc, codecs, backends, obs, sharding);
+    WriteJson(opt.json_path, m, crc, codecs, backends, obs, sharding,
+              datagen_rows);
   }
   return 0;
 }

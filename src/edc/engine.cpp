@@ -222,14 +222,14 @@ Engine::CpuSlot Engine::RunOnCpu(SimTime ready, SimTime duration) {
 }
 
 Bytes Engine::MaterializeRun(const WriteRun& run) const {
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(run.n_blocks) * kLogicalBlockSize);
+  Bytes out(static_cast<std::size_t>(run.n_blocks) * kLogicalBlockSize);
   for (u32 i = 0; i < run.n_blocks; ++i) {
     Lba lba = run.first_block + i;
     auto it = versions_.find(lba);
     u64 version = it == versions_.end() ? 0 : it->second;
-    Bytes block = generator_->Generate(lba, version, kLogicalBlockSize);
-    out.insert(out.end(), block.begin(), block.end());
+    generator_->GenerateInto(
+        lba, version,
+        MutableByteSpan(out).subspan(i * kLogicalBlockSize, kLogicalBlockSize));
   }
   return out;
 }

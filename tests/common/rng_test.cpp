@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
 
 #include "common/stats.hpp"
 
@@ -102,6 +105,88 @@ TEST(Pcg32, ZipfZeroExponentIsUniformish) {
   std::array<int, 10> counts{};
   for (int i = 0; i < 50000; ++i) ++counts[rng.NextZipf(10, 0.0)];
   for (int c : counts) EXPECT_GT(c, 3500);
+}
+
+TEST(Pcg32, NextBelowMatchesNextBool) {
+  for (double p : {-0.5, 0.0, 1e-300, 0.03, 0.04, 0.12, 0.4, 0.5,
+                   1.0 - 1e-16, 1.0, 1.5}) {
+    const u64 threshold = Pcg32::BoolThreshold(p);
+    Pcg32 a(21, 5);
+    Pcg32 b = a;
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(b.NextBelow(threshold), a.NextBool(p)) << "p=" << p;
+    }
+    EXPECT_EQ(a, b) << "p=" << p;
+  }
+}
+
+TEST(Pcg32, BoolThresholdIsCeilOfScaledProbability) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  EXPECT_EQ(Pcg32::BoolThreshold(0.0), 0u);
+  EXPECT_EQ(Pcg32::BoolThreshold(1.0), u64{1} << 53);
+  EXPECT_EQ(Pcg32::BoolThreshold(0.5), u64{1} << 52);
+  for (double p : {0.03, 0.04, 0.05, 0.12, 0.4, 0.7, 1e-20}) {
+    EXPECT_EQ(Pcg32::BoolThreshold(p),
+              static_cast<u64>(std::ceil(p * kTwo53)))
+        << p;
+  }
+}
+
+TEST(ZipfSampler, MatchesNextZipfDrawForDraw) {
+  // Every preset's (n, s) pairs plus the edges: n <= 2, s <= 0, the log
+  // branch (s = 1), a steep exponent, s just off 1, and an n above the
+  // table cap (closed form on every draw).
+  const u32 ns[] = {0, 1, 2, 10, 27, 512, 2500, 4000, 6000,
+                    ZipfSampler::kMaxTabledN + 1};
+  const double ss[] = {-1.0, 0.0, 0.5, 0.7, 0.8, 0.9, 1.0, 1.0 + 1e-7,
+                       1.05, 1.1, 2.0};
+  for (u32 n : ns) {
+    for (double s : ss) {
+      ZipfSampler sampler(n, s);
+      Pcg32 a(n * 31u + 7u, 3);
+      Pcg32 b = a;
+      for (int i = 0; i < 4000; ++i) {
+        const u32 want = a.NextZipf(n, s);
+        ASSERT_EQ(sampler.Sample(b), want)
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+      EXPECT_EQ(a, b) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfSampler, TableRankMatchesClosedFormAtEveryBoundary) {
+  // Next to each B_k the table must hand over to H⁻¹: probe the
+  // neighbouring doubles and points just outside the guard band, for every
+  // rank of the fin (4000 words) and prxy (6000) vocabularies and of the
+  // other generator samplers.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<u32, double> cases[] = {
+      {4000, 1.05}, {6000, 1.05}, {2500, 1.1}, {10, 0.8},
+      {27, 0.7},    {512, 0.9},   {300, 1.0},  {300, 2.0}};
+  for (auto [n, s] : cases) {
+    ZipfSampler z(n, s);
+    for (u32 k = 1; k < n; ++k) {
+      const double b = z.Boundary(k);
+      const double probes[] = {std::nextafter(b, -kInf), b,
+                               std::nextafter(b, kInf), b * (1 - 3e-9),
+                               b * (1 + 3e-9)};
+      for (double u : probes) {
+        ASSERT_EQ(z.Rank(u), z.ExactRank(u))
+            << "n=" << n << " s=" << s << " k=" << k << " u=" << u;
+      }
+      // Straddling B_k: ranks k and k + 1.
+      EXPECT_EQ(z.Rank(b * (1 - 3e-9)), k);
+      EXPECT_EQ(z.Rank(b * (1 + 3e-9)), k + 1);
+    }
+  }
+}
+
+TEST(ZipfSampler, SharedAcrossCallersIsDeterministic) {
+  const ZipfSampler z(4000, 1.05);
+  Pcg32 a(5);
+  Pcg32 b(5);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(z.Sample(a), z.Sample(b));
 }
 
 TEST(Pcg32, DeriveGivesIndependentDeterministicStreams) {
