@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     for (core::Scheme scheme : matrix.schemes) {
       auto cell = bench::RunCell(
           t, scheme, opt, [](core::StackConfig& cfg) {
-            cfg.use_hdd = true;
-            cfg.hdd.num_pages = 1u << 21;  // 8 GiB
+            cfg.device.emplace<ssd::HddConfig>().num_pages =
+                1u << 21;  // 8 GiB
           });
       if (!cell.ok()) {
         std::fprintf(stderr, "error: %s\n",

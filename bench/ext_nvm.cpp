@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
 
   auto matrix = bench::RunMatrix(
       opt, core::AllSchemes(), [](core::StackConfig& cfg) {
-        cfg.use_nvm = true;
-        cfg.nvm.num_pages = 1u << 21;
+        cfg.device.emplace<ssd::NvmConfig>().num_pages = 1u << 21;
       });
   if (!matrix.ok()) {
     std::fprintf(stderr, "error: %s\n", matrix.status().ToString().c_str());

@@ -13,12 +13,12 @@ int main(int argc, char** argv) {
               "normalized to Native\n");
 
   auto tweak = [&opt](core::StackConfig& cfg) {
-    cfg.use_rais = true;
-    cfg.rais.level = ssd::RaisLevel::kRais5;
-    cfg.rais.num_disks = 5;
-    cfg.rais.chunk_pages = 8;
+    auto& rais = cfg.device.emplace<ssd::RaisConfig>();
+    rais.level = ssd::RaisLevel::kRais5;
+    rais.num_disks = 5;
+    rais.chunk_pages = 8;
     // Keep total array capacity comparable to the single-SSD runs.
-    cfg.rais.member =
+    rais.member =
         ssd::MakeX25eConfig(opt.device_mib / 4, /*store_data=*/false);
   };
 

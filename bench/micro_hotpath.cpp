@@ -858,14 +858,14 @@ int main(int argc, char** argv) {
               "over 1000 blocks)\n%s",
               datagen_table.ToString().c_str());
 
-  auto profile = datagen::ProfileByName("Fin1");
-  Bytes corpus;
-  if (profile.ok()) {
-    datagen::ContentGenerator gen(*profile, opt.seed);
-    corpus = gen.GenerateCorpus(8u << 20, 4096);
-  } else {
-    corpus = Bytes(8u << 20, 0xA5);
+  auto profile = datagen::ProfileByName("fin");
+  if (!profile.ok()) {
+    std::fprintf(stderr, "error: %s\n", profile.status().ToString().c_str());
+    return 1;
   }
+  const Bytes corpus =
+      datagen::ContentGenerator(*profile, opt.seed)
+          .GenerateCorpus(8u << 20, 4096);
 
   CrcResult crc = BenchCrc(corpus);
   std::printf("\nCRC-32: slicing-by-8 %.1f MB/s, bytewise %.1f MB/s "

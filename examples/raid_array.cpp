@@ -37,12 +37,11 @@ int main(int argc, char** argv) {
   cfg.scheme = core::Scheme::kEdc;
   cfg.mode = core::ExecutionMode::kModeled;
   cfg.content_profile = "usr";
-  cfg.use_rais = true;
-  cfg.rais.level =
-      level == 5 ? ssd::RaisLevel::kRais5 : ssd::RaisLevel::kRais0;
-  cfg.rais.num_disks = disks;
-  cfg.rais.chunk_pages = 8;
-  cfg.rais.member = ssd::MakeX25eConfig(2048, /*store_data=*/false);
+  auto& array = cfg.device.emplace<ssd::RaisConfig>();
+  array.level = level == 5 ? ssd::RaisLevel::kRais5 : ssd::RaisLevel::kRais0;
+  array.num_disks = disks;
+  array.chunk_pages = 8;
+  array.member = ssd::MakeX25eConfig(2048, /*store_data=*/false);
 
   std::printf("RAIS%d over %u simulated X25-E SSDs, EDC scheme, "
               "Usr_0 workload (%.0f s)\n",

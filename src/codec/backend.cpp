@@ -146,7 +146,7 @@ i64 TimePackFlush(PackFlushFn fn) {
       word = word * 6364136223846793005ull + 1442695040888963407ull;
     }
     fn(&out, word, static_cast<unsigned>(rep % 7) + 1);
-    g_calibration_sink += out.size() + out.back();
+    g_calibration_sink = g_calibration_sink + out.size() + out.back();
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)

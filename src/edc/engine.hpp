@@ -66,17 +66,17 @@ struct DurabilityConfig {
   u32 max_program_retries = 3;
   /// Simulated delay before each rewrite attempt.
   SimTime retry_backoff = 200 * kMicrosecond;
+  bool operator==(const DurabilityConfig&) const = default;
 };
 
-struct EngineConfig {
+/// Every engine setting a caller states directly. StackConfig embeds it
+/// as is; EngineConfig adds the one setting the stack derives.
+struct EngineOptions {
   Scheme scheme = Scheme::kEdc;
   ElasticParams elastic;       // used when scheme == kEdc
   MonitorConfig monitor;
   EstimatorConfig estimator;
   SeqDetectorConfig seq;
-  /// SD write merging; the paper enables it for EDC. Fixed baselines
-  /// compress each request as one unit (products' behaviour).
-  bool use_seq_detector = true;
   ExecutionMode mode = ExecutionMode::kFunctional;
   AllocPolicy alloc_policy = AllocPolicy::kSizeClass;
   /// LRU cache of decompressed groups in host DRAM: reads that hit skip
@@ -126,6 +126,14 @@ struct EngineConfig {
   /// runs on pool threads. Null (the default) keeps the seed's serial
   /// behaviour; modeled mode never uses the pool.
   WorkerPool* compress_pool = nullptr;
+  bool operator==(const EngineOptions&) const = default;
+};
+
+struct EngineConfig : EngineOptions {
+  /// SD write merging; the paper enables it for EDC. Fixed baselines
+  /// compress each request as one unit (products' behaviour).
+  bool use_seq_detector = true;
+  bool operator==(const EngineConfig&) const = default;
 };
 
 struct EngineStats {

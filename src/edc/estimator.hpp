@@ -34,6 +34,7 @@ struct EstimatorConfig {
   /// Predicted compressed fraction above which the block is treated as
   /// non-compressible (the paper's 75% rule).
   double write_through_fraction = 0.75;
+  bool operator==(const EstimatorConfig&) const = default;
 };
 
 class CompressibilityEstimator {

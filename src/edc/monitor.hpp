@@ -15,6 +15,7 @@ struct MonitorConfig {
   /// Re-evaluate the EWMA at most this often (per-request updates at ns
   /// granularity would make the EWMA time-constant meaningless).
   SimTime update_interval = 100 * kMillisecond;
+  bool operator==(const MonitorConfig&) const = default;
 };
 
 class WorkloadMonitor {

@@ -97,6 +97,7 @@ struct ElasticParams {
   /// data always uses the high-ratio codec (it compresses almost for
   /// free at any speed).
   bool use_content_hints = false;
+  bool operator==(const ElasticParams&) const = default;
 };
 
 class ElasticPolicy final : public CompressionPolicy {

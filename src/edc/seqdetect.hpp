@@ -21,6 +21,7 @@ struct SeqDetectorConfig {
   /// processed, bounding how long buffered writes stay in DRAM
   /// (0 disables the timeout).
   SimTime idle_flush_timeout = 50 * kMillisecond;
+  bool operator==(const SeqDetectorConfig&) const = default;
 };
 
 /// A contiguous run of host blocks ready for compression.

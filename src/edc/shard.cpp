@@ -93,19 +93,16 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::CreateFromBackings(
       return Status::InvalidArgument(
           "sharded: backing needs a device and a generator");
     }
-    Shard& sh = *se->shards_[s];
-    sh.device = b.device;
-    sh.engine_config = b.engine;
     // Shard engines run obs-free (the shard layer owns the deterministic
     // metrics; see header comment) and compress serially on their own
     // run-loop thread: the per-shard threads *are* the parallelism, and
     // sharing a compress pool with the run loops would deadlock it.
-    sh.engine_config.obs = nullptr;
-    sh.engine_config.compress_pool = nullptr;
-    sh.generator = b.generator;
-    sh.cost_model = b.cost_model;
-    sh.engine = std::make_unique<core::Engine>(sh.engine_config, sh.device,
-                                               sh.generator, sh.cost_model);
+    b.engine.obs = nullptr;
+    b.engine.compress_pool = nullptr;
+    Shard& sh = *se->shards_[s];
+    sh.backing = b;
+    sh.engine = std::make_unique<core::Engine>(b.engine, b.device,
+                                               b.generator, b.cost_model);
     sh.ring = std::make_unique<MpscRing<SubOp>>(se->options_.ring_capacity);
   }
   se->completions_ = std::make_unique<MpscRing<SubDone>>(
@@ -514,8 +511,9 @@ Status ShardedEngine::RecreateEngine(u32 shard) {
   }
   Shard& sh = *shards_[shard];
   sh.engine.reset();
-  sh.engine = std::make_unique<core::Engine>(
-      sh.engine_config, sh.device, sh.generator, sh.cost_model);
+  const ShardBacking& b = sh.backing;
+  sh.engine = std::make_unique<core::Engine>(b.engine, b.device,
+                                             b.generator, b.cost_model);
   return Status::Ok();
 }
 
@@ -564,47 +562,12 @@ core::EngineStats ShardedEngine::AggregateEngineStats() const {
 }
 
 ssd::DeviceStats ShardedEngine::AggregateDeviceStats() const {
-  ssd::DeviceStats agg;
-  agg.waf = 0;
-  double mean_erase_sum = 0;
+  std::vector<ssd::DeviceStats> per_shard;
+  per_shard.reserve(shards_.size());
   for (const auto& sh : shards_) {
-    const ssd::DeviceStats s = sh->device->stats();
-    agg.host_pages_read += s.host_pages_read;
-    agg.host_pages_written += s.host_pages_written;
-    agg.gc_pages_copied += s.gc_pages_copied;
-    agg.gc_runs += s.gc_runs;
-    agg.background_reclaims += s.background_reclaims;
-    agg.total_erases += s.total_erases;
-    agg.max_erase_count = std::max(agg.max_erase_count, s.max_erase_count);
-    mean_erase_sum += s.mean_erase_count;
-    // Shard devices serve in parallel: the aggregate busy time is the
-    // longest lane, not the sum.
-    agg.busy_time = std::max(agg.busy_time, s.busy_time);
-    agg.energy_j += s.energy_j;
-    agg.read_faults += s.read_faults;
-    agg.program_faults += s.program_faults;
-    agg.pages_corrupted += s.pages_corrupted;
-    agg.reconstructed_reads += s.reconstructed_reads;
-    agg.members_failed += s.members_failed;
-    agg.degraded_reads += s.degraded_reads;
-    agg.degraded_writes += s.degraded_writes;
-    agg.unrecoverable_reads += s.unrecoverable_reads;
-    agg.rebuild_rows_done += s.rebuild_rows_done;
-    agg.rebuilds_completed += s.rebuilds_completed;
-    agg.scrub_rows += s.scrub_rows;
-    agg.scrub_parity_mismatches += s.scrub_parity_mismatches;
-    agg.scrub_parity_repaired += s.scrub_parity_repaired;
+    per_shard.push_back(sh->backing.device->stats());
   }
-  if (!shards_.empty()) {
-    agg.mean_erase_count =
-        mean_erase_sum / static_cast<double>(shards_.size());
-  }
-  agg.waf = agg.host_pages_written == 0
-                ? 1.0
-                : static_cast<double>(agg.host_pages_written +
-                                      agg.gc_pages_copied) /
-                      static_cast<double>(agg.host_pages_written);
-  return agg;
+  return ssd::FoldParallel(per_shard);
 }
 
 }  // namespace edc::shard

@@ -221,7 +221,7 @@ class ShardedEngine {
   u32 tenants() const { return options_.tenants; }
   const ShardRouter& router() const { return router_; }
   core::Engine& engine(u32 shard) { return *shards_[shard]->engine; }
-  ssd::Device& device(u32 shard) { return *shards_[shard]->device; }
+  ssd::Device& device(u32 shard) { return *shards_[shard]->backing.device; }
 
   /// FlushPending on every shard; returns the max completion time.
   Result<SimTime> FlushAllPending(SimTime now);
@@ -292,11 +292,9 @@ class ShardedEngine {
   };
 
   struct Shard {
-    // Backing (non-owning; see owned_).
-    ssd::Device* device = nullptr;
-    core::EngineConfig engine_config;
-    const datagen::ContentGenerator* generator = nullptr;
-    const core::CostModel* cost_model = nullptr;
+    /// What the engine runs on (non-owning; see owned_), with obs and
+    /// compress_pool cleared.
+    ShardBacking backing;
     std::unique_ptr<core::Engine> engine;
 
     // Submission lane.

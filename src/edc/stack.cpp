@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <new>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 namespace edc::core {
 
@@ -23,29 +25,32 @@ namespace {
 /// the bytes written to it.
 std::unique_ptr<ssd::Device> MakeDeviceSlice(const StackConfig& config,
                                              u32 n, bool* store_data) {
-  if (config.use_rais) {
-    ssd::RaisConfig rc = config.rais;
-    rc.member.geometry.num_blocks =
-        std::max<u32>(4, rc.member.geometry.num_blocks / n);
-    *store_data = rc.member.store_data;
-    return std::make_unique<ssd::Rais>(rc);
-  }
-  if (config.use_hdd) {
-    ssd::HddConfig hc = config.hdd;
-    hc.num_pages = std::max<u64>(64, hc.num_pages / n);
-    *store_data = hc.store_data;
-    return std::make_unique<ssd::Hdd>(hc);
-  }
-  if (config.use_nvm) {
-    ssd::NvmConfig nc = config.nvm;
-    nc.num_pages = std::max<u64>(64, nc.num_pages / n);
-    *store_data = nc.store_data;
-    return std::make_unique<ssd::Nvm>(nc);
-  }
-  ssd::SsdConfig sc = config.ssd;
-  sc.geometry.num_blocks = std::max<u32>(4, sc.geometry.num_blocks / n);
-  *store_data = sc.store_data;
-  return std::make_unique<ssd::Ssd>(sc);
+  return std::visit(
+      [&](auto kind) -> std::unique_ptr<ssd::Device> {
+        using Kind = decltype(kind);
+        if constexpr (std::is_same_v<Kind, std::monostate>) {
+          ssd::SsdConfig sc = config.ssd;
+          sc.geometry.num_blocks =
+              std::max<u32>(4, sc.geometry.num_blocks / n);
+          *store_data = sc.store_data;
+          return std::make_unique<ssd::Ssd>(sc);
+        } else if constexpr (std::is_same_v<Kind, ssd::RaisConfig>) {
+          kind.member.geometry.num_blocks =
+              std::max<u32>(4, kind.member.geometry.num_blocks / n);
+          *store_data = kind.member.store_data;
+          return std::make_unique<ssd::Rais>(kind);
+        } else if constexpr (std::is_same_v<Kind, ssd::HddConfig>) {
+          kind.num_pages = std::max<u64>(64, kind.num_pages / n);
+          *store_data = kind.store_data;
+          return std::make_unique<ssd::Hdd>(kind);
+        } else {
+          static_assert(std::is_same_v<Kind, ssd::NvmConfig>);
+          kind.num_pages = std::max<u64>(64, kind.num_pages / n);
+          *store_data = kind.store_data;
+          return std::make_unique<ssd::Nvm>(kind);
+        }
+      },
+      config.device);
 }
 
 }  // namespace
@@ -93,26 +98,10 @@ Result<StackParts> BuildStackParts(
         CostModel::Calibrate(*parts.generator));
   }
 
-  EngineConfig& ec = parts.engine;
-  ec.scheme = config.scheme;
-  ec.elastic = config.elastic;
-  ec.monitor = config.monitor;
-  ec.estimator = config.estimator;
-  ec.seq = config.seq;
-  ec.use_seq_detector =
-      config.scheme == Scheme::kEdc && config.use_seq_detector_for_edc;
-  ec.mode = config.mode;
-  ec.alloc_policy = config.alloc_policy;
-  ec.cache_groups = config.cache_groups;
-  ec.cpu_contexts = config.cpu_contexts;
-  ec.modeled_check_interval = config.modeled_check_interval;
-  ec.audit_every_n_ops = config.audit_every_n_ops;
-  ec.compress_pool = config.compress_pool;
-  ec.durability = config.durability;
-  ec.breaker_error_budget = config.breaker_error_budget;
-  ec.read_retry_attempts = config.read_retry_attempts;
-  ec.read_retry_backoff = config.read_retry_backoff;
-  ec.obs = config.obs;
+  // The stack's engine options as they are, plus the one setting the
+  // stack derives: SD merging is for EDC only.
+  parts.engine = EngineConfig{
+      config, config.scheme == Scheme::kEdc && config.use_seq_detector_for_edc};
   return parts;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "edc/engine.hpp"
@@ -18,55 +19,29 @@
 
 namespace edc::core {
 
-struct StackConfig {
-  Scheme scheme = Scheme::kEdc;
-  ElasticParams elastic;
-  ExecutionMode mode = ExecutionMode::kFunctional;
-
+/// A stack's settings: the engine's own (EngineOptions, taken as is)
+/// plus what the stack builds around it.
+struct StackConfig : EngineOptions {
   /// Content profile name (datagen) driving write payloads.
   std::string content_profile = "usr";
   u64 seed = 42;
 
-  /// Device: single SSD by default; set use_rais for an array or use_hdd
-  /// for a spinning disk (the paper's future-work target).
+  /// The single SSD, used only while `device` holds std::monostate.
   ssd::SsdConfig ssd = ssd::MakeX25eConfig(256, /*store_data=*/false);
-  bool use_rais = false;
-  ssd::RaisConfig rais;
-  bool use_hdd = false;
-  ssd::HddConfig hdd;
-  bool use_nvm = false;
-  ssd::NvmConfig nvm;
+  /// Device kind: std::monostate (the default) is the single SSD above;
+  /// otherwise a RAIS array, a spinning disk (the paper's future-work
+  /// target) or byte-addressable NVM.
+  std::variant<std::monostate, ssd::RaisConfig, ssd::HddConfig,
+               ssd::NvmConfig>
+      device;
 
   /// SD merging is the paper's EDC feature; fixed baselines compress each
-  /// request as a unit.
+  /// request as a unit. The engine's use_seq_detector is derived from this
+  /// and the scheme.
   bool use_seq_detector_for_edc = true;
-  AllocPolicy alloc_policy = AllocPolicy::kSizeClass;
-  std::size_t cache_groups = 0;  // LRU group cache (see EngineConfig)
-  u32 cpu_contexts = 1;          // parallel compression contexts
-  /// Real worker pool for functional-mode codec offload (non-owning; must
-  /// outlive the stack). Null keeps the serial seed behaviour. See
-  /// EngineConfig::compress_pool.
-  WorkerPool* compress_pool = nullptr;
-  MonitorConfig monitor;
-  EstimatorConfig estimator;
-  SeqDetectorConfig seq;
-  u32 modeled_check_interval = 0;
-  /// Inline StateAuditor cadence (see EngineConfig::audit_every_n_ops).
-  u32 audit_every_n_ops = 0;
-  /// Crash-consistent on-flash format + mapping journal. Requires
-  /// functional mode and a data-retaining device (store_data = true).
-  DurabilityConfig durability;
-  /// Media-error budget before the engine demotes itself to uncompressed
-  /// writes (see EngineConfig::breaker_error_budget). 0 disables.
-  u32 breaker_error_budget = 0;
-  /// Transient-unavailability read retries (see
-  /// EngineConfig::read_retry_attempts / read_retry_backoff). 0 disables.
-  u32 read_retry_attempts = 0;
-  SimTime read_retry_backoff = 50 * kMicrosecond;
-  /// Optional observability sink (non-owning; must outlive the stack).
-  /// Wired into the engine and the device, and a device-stats collector is
-  /// registered so snapshots carry edc_device_* metrics. Null = disabled.
-  obs::Observer* obs = nullptr;
+  /// Deleted so that comparing two StackConfigs cannot slice to
+  /// EngineOptions and skip the fields above.
+  bool operator==(const StackConfig&) const = delete;
 };
 
 /// What a StackConfig wires for `n` engines: one content generator and

@@ -28,7 +28,8 @@ void AppendLabels(std::string* out, const LabelSet& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) *out += ',';
     first = false;
-    *out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+    out->append("\"").append(JsonEscape(k)).append("\":\"");
+    out->append(JsonEscape(v)).append("\"");
   }
   *out += "}";
 }

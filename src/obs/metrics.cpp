@@ -37,7 +37,9 @@ std::string FormatDouble(double v) {
 }
 
 std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "\"" + FormatDouble(v) + "\"";
+  if (!std::isfinite(v)) {
+    return std::string("\"").append(FormatDouble(v)).append("\"");
+  }
   return FormatDouble(v);
 }
 
@@ -110,7 +112,8 @@ std::string MetricsSnapshot::ToJson() const {
     for (const auto& [k, v] : s.labels) {
       if (!fl) out += ',';
       fl = false;
-      out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+      out.append("\"").append(JsonEscape(k)).append("\":\"");
+      out.append(JsonEscape(v)).append("\"");
     }
     out += "}";
     switch (s.type) {

@@ -231,7 +231,8 @@ std::string TimeSeriesSampler::ToJson(std::size_t last_n) const {
     for (const auto& [k, v] : s.labels) {
       if (!fl) out += ',';
       fl = false;
-      out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+      out.append("\"").append(JsonEscape(k)).append("\":\"");
+      out.append(JsonEscape(v)).append("\"");
     }
     out += "},\"kind\":\"";
     out += s.counter ? "counter" : "gauge";

@@ -26,7 +26,7 @@ void AppendArgValue(std::string* out, const TraceArg& arg) {
     void operator()(i64 v) { *out += std::to_string(v); }
     void operator()(double v) { *out += JsonNumber(v); }
     void operator()(const std::string& v) {
-      *out += "\"" + JsonEscape(v) + "\"";
+      out->append("\"").append(JsonEscape(v)).append("\"");
     }
     void operator()(bool v) { *out += v ? "true" : "false"; }
   };
@@ -58,7 +58,7 @@ void AppendTraceArgs(std::string* out, const TraceArgs& args) {
   for (const TraceArg& a : args) {
     if (!first) *out += ',';
     first = false;
-    *out += "\"" + JsonEscape(a.key) + "\":";
+    out->append("\"").append(JsonEscape(a.key)).append("\":");
     AppendArgValue(out, a);
   }
   *out += "}";

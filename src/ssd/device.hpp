@@ -5,6 +5,7 @@
 // model, alongside the physical work performed.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -54,7 +55,54 @@ struct DeviceStats {
   u64 scrub_rows = 0;           // stripe rows scanned by parity scrub
   u64 scrub_parity_mismatches = 0;  // rows whose parity disagreed
   u64 scrub_parity_repaired = 0;    // rows whose parity was rewritten
+
+  bool operator==(const DeviceStats&) const = default;
 };
+
+/// Stats of devices that serve side by side (RAIS members, shard
+/// devices) as one: counters and energy summed in input order, busy_time
+/// and max_erase_count the max (the devices run in parallel),
+/// mean_erase_count the mean of the means (0 for no input), and waf
+/// recomputed from the summed pages (1.0 when nothing was written).
+inline DeviceStats FoldParallel(std::span<const DeviceStats> devices) {
+  DeviceStats agg;
+  double mean_erase_sum = 0;
+  for (const DeviceStats& d : devices) {
+    agg.host_pages_read += d.host_pages_read;
+    agg.host_pages_written += d.host_pages_written;
+    agg.gc_pages_copied += d.gc_pages_copied;
+    agg.gc_runs += d.gc_runs;
+    agg.background_reclaims += d.background_reclaims;
+    agg.total_erases += d.total_erases;
+    agg.max_erase_count = std::max(agg.max_erase_count, d.max_erase_count);
+    mean_erase_sum += d.mean_erase_count;
+    agg.busy_time = std::max(agg.busy_time, d.busy_time);
+    agg.energy_j += d.energy_j;
+    agg.read_faults += d.read_faults;
+    agg.program_faults += d.program_faults;
+    agg.pages_corrupted += d.pages_corrupted;
+    agg.reconstructed_reads += d.reconstructed_reads;
+    agg.members_failed += d.members_failed;
+    agg.degraded_reads += d.degraded_reads;
+    agg.degraded_writes += d.degraded_writes;
+    agg.unrecoverable_reads += d.unrecoverable_reads;
+    agg.rebuild_rows_done += d.rebuild_rows_done;
+    agg.rebuilds_completed += d.rebuilds_completed;
+    agg.scrub_rows += d.scrub_rows;
+    agg.scrub_parity_mismatches += d.scrub_parity_mismatches;
+    agg.scrub_parity_repaired += d.scrub_parity_repaired;
+  }
+  if (!devices.empty()) {
+    agg.mean_erase_count =
+        mean_erase_sum / static_cast<double>(devices.size());
+  }
+  agg.waf = agg.host_pages_written == 0
+                ? 1.0
+                : static_cast<double>(agg.host_pages_written +
+                                      agg.gc_pages_copied) /
+                      static_cast<double>(agg.host_pages_written);
+  return agg;
+}
 
 /// Outcome of one whole-device parity scrub pass (see Device::ScrubParity).
 struct ParityScrubResult {

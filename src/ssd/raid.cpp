@@ -1097,29 +1097,15 @@ SimTime Rais::next_free_time() const {
 }
 
 DeviceStats Rais::stats() const {
-  DeviceStats s;
-  double mean_sum = 0;
-  u32 devices = 0;
-  auto fold = [&](const Ssd* dev) {
-    if (dev == nullptr) return;
-    DeviceStats m = dev->stats();
-    s.host_pages_read += m.host_pages_read;
-    s.host_pages_written += m.host_pages_written;
-    s.gc_pages_copied += m.gc_pages_copied;
-    s.gc_runs += m.gc_runs;
-    s.background_reclaims += m.background_reclaims;
-    s.total_erases += m.total_erases;
-    s.max_erase_count = std::max(s.max_erase_count, m.max_erase_count);
-    mean_sum += m.mean_erase_count;
-    s.busy_time = std::max(s.busy_time, m.busy_time);
-    s.energy_j += m.energy_j;
-    s.read_faults += m.read_faults;
-    s.program_faults += m.program_faults;
-    s.pages_corrupted += m.pages_corrupted;
-    ++devices;
-  };
-  for (const auto& d : disks_) fold(d.get());
-  for (const auto& sp : spares_) fold(sp.get());
+  std::vector<DeviceStats> members;
+  members.reserve(disks_.size() + spares_.size());
+  for (const auto& d : disks_) {
+    if (d != nullptr) members.push_back(d->stats());
+  }
+  for (const auto& sp : spares_) {
+    if (sp != nullptr) members.push_back(sp->stats());
+  }
+  DeviceStats s = FoldParallel(members);
   s.reconstructed_reads = reconstructed_reads_;
   s.members_failed = members_failed_;
   s.degraded_reads = degraded_reads_;
@@ -1130,12 +1116,6 @@ DeviceStats Rais::stats() const {
   s.scrub_rows = scrub_rows_;
   s.scrub_parity_mismatches = scrub_parity_mismatches_;
   s.scrub_parity_repaired = scrub_parity_repaired_;
-  s.mean_erase_count = mean_sum / static_cast<double>(devices);
-  s.waf = s.host_pages_written == 0
-              ? 1.0
-              : static_cast<double>(s.host_pages_written +
-                                    s.gc_pages_copied) /
-                    static_cast<double>(s.host_pages_written);
   return s;
 }
 

@@ -105,13 +105,14 @@ TEST(MpscRingStress, MultiProducerFifoPerProducer) {
     }
     ASSERT_GE(t.producer, 0);
     ASSERT_LT(t.producer, kProducers);
+    const auto producer = static_cast<std::size_t>(t.producer);
     // Per-producer FIFO: each producer's values appear in push order.
-    ASSERT_EQ(t.seq, next_seq[t.producer]);
-    ++next_seq[t.producer];
+    ASSERT_EQ(t.seq, next_seq[producer]);
+    ++next_seq[producer];
     ++popped;
   }
   for (auto& th : producers) th.join();
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
+  for (int seq : next_seq) EXPECT_EQ(seq, kPerProducer);
   Tagged t;
   EXPECT_FALSE(ring.TryPop(&t));
 }

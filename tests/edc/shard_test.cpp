@@ -284,14 +284,11 @@ TEST(ShardedEngine, AggregatesDeviceStatsAcrossShards) {
   ASSERT_TRUE(e.StopRunLoops().ok());
   ASSERT_TRUE(e.FlushAllPending(32 * kMillisecond).ok());
   ssd::DeviceStats agg = e.AggregateDeviceStats();
-  u64 sum_written = 0;
-  SimTime max_busy = 0;
+  std::vector<ssd::DeviceStats> per_shard;
   for (u32 s = 0; s < e.shards(); ++s) {
-    sum_written += e.device(s).stats().host_pages_written;
-    max_busy = std::max(max_busy, e.device(s).stats().busy_time);
+    per_shard.push_back(e.device(s).stats());
   }
-  EXPECT_EQ(agg.host_pages_written, sum_written);
-  EXPECT_EQ(agg.busy_time, max_busy);  // parallel lanes, not a sum
+  EXPECT_EQ(agg, ssd::FoldParallel(per_shard));
   EXPECT_GT(agg.host_pages_written, 0u);
 }
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <variant>
+#include <vector>
 
 #include "common/worker_pool.hpp"
 #include "edc/shard.hpp"
@@ -24,37 +26,39 @@ StackConfig Base() {
   return cfg;
 }
 
-enum class DeviceKind { kSsd, kRais, kHdd, kNvm };
-constexpr DeviceKind kAllDeviceKinds[] = {DeviceKind::kSsd, DeviceKind::kRais,
-                                          DeviceKind::kHdd, DeviceKind::kNvm};
-
-StackConfig WithDevice(StackConfig cfg, DeviceKind kind) {
-  cfg.use_rais = kind == DeviceKind::kRais;
-  cfg.use_hdd = kind == DeviceKind::kHdd;
-  cfg.use_nvm = kind == DeviceKind::kNvm;
-  cfg.rais.member = cfg.ssd;
-  cfg.hdd.num_pages = 4096;
-  cfg.nvm.num_pages = 4096;
-  return cfg;
+/// `cfg` on each device kind, in the variant's order: the single SSD, a
+/// RAIS array of cfg.ssd members, and an HDD and an NVM of `pages` raw
+/// pages that retain data when cfg.ssd does.
+std::vector<StackConfig> OnEachDevice(const StackConfig& cfg,
+                                      u64 pages = 4096) {
+  std::vector<StackConfig> out(4, cfg);
+  out[1].device.emplace<ssd::RaisConfig>().member = cfg.ssd;
+  auto& hdd = out[2].device.emplace<ssd::HddConfig>();
+  hdd.num_pages = pages;
+  hdd.store_data = cfg.ssd.store_data;
+  auto& nvm = out[3].device.emplace<ssd::NvmConfig>();
+  nvm.num_pages = pages;
+  nvm.store_data = cfg.ssd.store_data;
+  return out;
 }
 
 /// Logical pages of one of `n` equal slices of `cfg`'s device, built by
 /// hand: 1/n of the raw capacity, floored at 4 flash blocks (per member)
 /// or 64 pages.
 u64 SliceLogicalPages(const StackConfig& cfg, u32 n) {
-  if (cfg.use_rais) {
-    ssd::RaisConfig rc = cfg.rais;
+  if (const auto* rais = std::get_if<ssd::RaisConfig>(&cfg.device)) {
+    ssd::RaisConfig rc = *rais;
     rc.member.geometry.num_blocks =
         std::max<u32>(4, rc.member.geometry.num_blocks / n);
     return ssd::Rais(rc).logical_pages();
   }
-  if (cfg.use_hdd) {
-    ssd::HddConfig hc = cfg.hdd;
+  if (const auto* hdd = std::get_if<ssd::HddConfig>(&cfg.device)) {
+    ssd::HddConfig hc = *hdd;
     hc.num_pages = std::max<u64>(64, hc.num_pages / n);
     return ssd::Hdd(hc).logical_pages();
   }
-  if (cfg.use_nvm) {
-    ssd::NvmConfig nc = cfg.nvm;
+  if (const auto* nvm = std::get_if<ssd::NvmConfig>(&cfg.device)) {
+    ssd::NvmConfig nc = *nvm;
     nc.num_pages = std::max<u64>(64, nc.num_pages / n);
     return ssd::Nvm(nc).logical_pages();
   }
@@ -68,36 +72,6 @@ Result<std::unique_ptr<shard::ShardedEngine>> CreateSharded(
   shard::ShardedOptions options;
   options.shards = shards;
   return shard::ShardedEngine::Create(options, cfg);
-}
-
-/// Every EngineConfig field but obs and compress_pool.
-void ExpectSameEngineConfig(const EngineConfig& a, const EngineConfig& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.elastic.saturate_iops, b.elastic.saturate_iops);
-  EXPECT_EQ(a.elastic.busy_iops, b.elastic.busy_iops);
-  EXPECT_EQ(a.elastic.busy_codec, b.elastic.busy_codec);
-  EXPECT_EQ(a.elastic.idle_codec, b.elastic.idle_codec);
-  EXPECT_EQ(a.monitor.window, b.monitor.window);
-  EXPECT_EQ(a.monitor.update_interval, b.monitor.update_interval);
-  EXPECT_EQ(a.estimator.sample_windows, b.estimator.sample_windows);
-  EXPECT_EQ(a.estimator.probe_bytes, b.estimator.probe_bytes);
-  EXPECT_EQ(a.seq.max_merge_blocks, b.seq.max_merge_blocks);
-  EXPECT_EQ(a.seq.idle_flush_timeout, b.seq.idle_flush_timeout);
-  EXPECT_EQ(a.use_seq_detector, b.use_seq_detector);
-  EXPECT_EQ(a.mode, b.mode);
-  EXPECT_EQ(a.alloc_policy, b.alloc_policy);
-  EXPECT_EQ(a.cache_groups, b.cache_groups);
-  EXPECT_EQ(a.cpu_contexts, b.cpu_contexts);
-  EXPECT_EQ(a.modeled_check_interval, b.modeled_check_interval);
-  EXPECT_EQ(a.audit_every_n_ops, b.audit_every_n_ops);
-  EXPECT_EQ(a.durability.enabled, b.durability.enabled);
-  EXPECT_EQ(a.durability.journal_pages, b.durability.journal_pages);
-  EXPECT_EQ(a.durability.max_program_retries,
-            b.durability.max_program_retries);
-  EXPECT_EQ(a.durability.retry_backoff, b.durability.retry_backoff);
-  EXPECT_EQ(a.read_retry_attempts, b.read_retry_attempts);
-  EXPECT_EQ(a.read_retry_backoff, b.read_retry_backoff);
-  EXPECT_EQ(a.breaker_error_budget, b.breaker_error_budget);
 }
 
 TEST(Stack, CreatesEverySchemeAndDeviceCombo) {
@@ -116,30 +90,27 @@ TEST(Stack, CreatesEverySchemeAndDeviceCombo) {
       }
     }
   }
-  for (DeviceKind kind : kAllDeviceKinds) {
-    const int k = static_cast<int>(kind);
-    StackConfig large = WithDevice(Base(), kind);
-    // Small enough that a third of it falls below the slice floors.
-    StackConfig tiny = Base();
-    tiny.ssd.geometry.num_blocks = 8;
-    tiny = WithDevice(tiny, kind);
-    tiny.hdd.num_pages = 100;
-    tiny.nvm.num_pages = 100;
-    for (const StackConfig& cfg : {large, tiny}) {
-      auto stack = Stack::Create(cfg);
-      ASSERT_TRUE(stack.ok()) << k;
-      EXPECT_GT((*stack)->device().logical_pages(), 0u);
-      EXPECT_EQ((*stack)->device().logical_pages(),
-                SliceLogicalPages(cfg, 1))
-          << k;
-      for (u32 n : {1u, 3u}) {
-        auto sharded = CreateSharded(cfg, n);
-        ASSERT_TRUE(sharded.ok()) << k << " x" << n;
-        const u64 expected = SliceLogicalPages(cfg, n);
-        for (u32 s = 0; s < n; ++s) {
-          EXPECT_EQ((*sharded)->device(s).logical_pages(), expected)
-              << "device kind " << k << ", shard " << s << " of " << n;
-        }
+  // `tiny` is small enough that a third of it falls below the floors.
+  StackConfig tiny = Base();
+  tiny.ssd.geometry.num_blocks = 8;
+  std::vector<StackConfig> configs = OnEachDevice(Base());
+  for (const StackConfig& cfg : OnEachDevice(tiny, /*pages=*/100)) {
+    configs.push_back(cfg);
+  }
+  for (const StackConfig& cfg : configs) {
+    const std::size_t k = cfg.device.index();
+    auto stack = Stack::Create(cfg);
+    ASSERT_TRUE(stack.ok()) << k;
+    EXPECT_GT((*stack)->device().logical_pages(), 0u);
+    EXPECT_EQ((*stack)->device().logical_pages(), SliceLogicalPages(cfg, 1))
+        << k;
+    for (u32 n : {1u, 3u}) {
+      auto sharded = CreateSharded(cfg, n);
+      ASSERT_TRUE(sharded.ok()) << k << " x" << n;
+      const u64 expected = SliceLogicalPages(cfg, n);
+      for (u32 s = 0; s < n; ++s) {
+        EXPECT_EQ((*sharded)->device(s).logical_pages(), expected)
+            << "device kind " << k << ", shard " << s << " of " << n;
       }
     }
   }
@@ -159,27 +130,21 @@ TEST(Stack, DurableRequiresFunctionalMode) {
 }
 
 TEST(Stack, DurableRequiresDataRetainingDevice) {
-  for (DeviceKind kind : kAllDeviceKinds) {
-    const int k = static_cast<int>(kind);
-    StackConfig cfg = WithDevice(Base(), kind);
-    cfg.durability.enabled = true;
-    cfg.durability.journal_pages = 8;
-    EXPECT_EQ(Stack::Create(cfg).status().code(),
-              StatusCode::kInvalidArgument)
-        << k;
-    for (u32 n : {1u, 3u}) {
-      EXPECT_EQ(CreateSharded(cfg, n).status().code(),
-                StatusCode::kInvalidArgument)
-          << k << " x" << n;
-    }
-    // The same device retaining data is accepted by both.
-    cfg.ssd.store_data = true;
-    cfg.rais.member.store_data = true;
-    cfg.hdd.store_data = true;
-    cfg.nvm.store_data = true;
-    EXPECT_TRUE(Stack::Create(cfg).ok()) << k;
-    for (u32 n : {1u, 3u}) {
-      EXPECT_TRUE(CreateSharded(cfg, n).ok()) << k << " x" << n;
+  // Rejected by both builders unless the device retains data.
+  for (bool store_data : {false, true}) {
+    StackConfig durable = Base();
+    durable.ssd.store_data = store_data;
+    durable.durability.enabled = true;
+    durable.durability.journal_pages = 8;
+    const StatusCode want =
+        store_data ? StatusCode::kOk : StatusCode::kInvalidArgument;
+    for (const StackConfig& cfg : OnEachDevice(durable)) {
+      const std::size_t k = cfg.device.index();
+      EXPECT_EQ(Stack::Create(cfg).status().code(), want) << k;
+      for (u32 n : {1u, 3u}) {
+        EXPECT_EQ(CreateSharded(cfg, n).status().code(), want)
+            << k << " x" << n;
+      }
     }
   }
 }
@@ -194,6 +159,7 @@ TEST(Stack, SharedCostModelSkipsRecalibration) {
   for (int i = 0; i < 8; ++i) {
     auto stack = Stack::Create(cfg, *model);
     ASSERT_TRUE(stack.ok());
+    EXPECT_EQ((*stack)->engine().config().mode, ExecutionMode::kModeled);
   }
   double s = std::chrono::duration<double>(
                  std::chrono::steady_clock::now() - t0)
@@ -217,60 +183,51 @@ TEST(Stack, ConfigKnobsReachEngine) {
   obs::Observer observer;
   WorkerPool pool(1);
   StackConfig cfg = Base();
-  cfg.scheme = Scheme::kEdc;
-  cfg.cache_groups = 99;
-  cfg.cpu_contexts = 3;
-  cfg.alloc_policy = AllocPolicy::kExactQuanta;
+  // A non-default value in every EngineOptions field but `mode`: durable
+  // mode needs the default functional mode, and modeled mode would
+  // calibrate a cost model per engine (SharedCostModelSkipsRecalibration
+  // checks that `mode` reaches the engine).
+  cfg.scheme = Scheme::kGzip;
   cfg.elastic.busy_iops = 123;
   cfg.elastic.saturate_iops = 4567;
   cfg.monitor.update_interval = 7 * kMillisecond;
   cfg.estimator.sample_windows = 2;
   cfg.seq.max_merge_blocks = 5;
+  cfg.alloc_policy = AllocPolicy::kExactQuanta;
+  cfg.cache_groups = 99;
+  cfg.cpu_contexts = 3;
   cfg.modeled_check_interval = 11;
   cfg.audit_every_n_ops = 13;
   cfg.ssd.store_data = true;
   cfg.durability.enabled = true;
   cfg.durability.journal_pages = 16;
   cfg.durability.max_program_retries = 2;
-  cfg.breaker_error_budget = 17;
   cfg.read_retry_attempts = 19;
   cfg.read_retry_backoff = 23 * kMicrosecond;
+  cfg.breaker_error_budget = 17;
   cfg.obs = &observer;
   cfg.compress_pool = &pool;
+  const EngineOptions& want = cfg;
+
   auto stack = Stack::Create(cfg);
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();
   const EngineConfig& ec = (*stack)->engine().config();
-  EXPECT_EQ(ec.cache_groups, 99u);
-  EXPECT_EQ(ec.cpu_contexts, 3u);
-  EXPECT_EQ(ec.alloc_policy, AllocPolicy::kExactQuanta);
-  EXPECT_EQ(ec.elastic.busy_iops, 123);
-  EXPECT_EQ(ec.elastic.saturate_iops, 4567);
-  EXPECT_EQ(ec.monitor.update_interval, 7 * kMillisecond);
-  EXPECT_EQ(ec.estimator.sample_windows, 2u);
-  EXPECT_EQ(ec.seq.max_merge_blocks, 5u);
-  EXPECT_TRUE(ec.use_seq_detector);
-  EXPECT_EQ(ec.modeled_check_interval, 11u);
-  EXPECT_EQ(ec.audit_every_n_ops, 13u);
-  EXPECT_TRUE(ec.durability.enabled);
-  EXPECT_EQ(ec.durability.journal_pages, 16u);
-  EXPECT_EQ(ec.durability.max_program_retries, 2u);
-  EXPECT_EQ(ec.breaker_error_budget, 17u);
-  EXPECT_EQ(ec.read_retry_attempts, 19u);
-  EXPECT_EQ(ec.read_retry_backoff, 23 * kMicrosecond);
-  EXPECT_EQ(ec.obs, &observer);
-  EXPECT_EQ(ec.compress_pool, &pool);
+  EXPECT_TRUE(static_cast<const EngineOptions&>(ec) == want);
+  EXPECT_FALSE(ec.use_seq_detector);  // derived: SD merging is EDC-only
 
-  // Shard engines run the same config, minus the observer and the codec
+  // Shard engines run the same options, minus the observer and the codec
   // offload pool.
+  EngineOptions want_shard = want;
+  want_shard.obs = nullptr;
+  want_shard.compress_pool = nullptr;
   for (u32 n : {1u, 3u}) {
     auto sharded = CreateSharded(cfg, n);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     for (u32 s = 0; s < n; ++s) {
       SCOPED_TRACE(testing::Message() << "shard " << s << " of " << n);
       const EngineConfig& sc = (*sharded)->engine(s).config();
-      ExpectSameEngineConfig(sc, ec);
-      EXPECT_EQ(sc.obs, nullptr);
-      EXPECT_EQ(sc.compress_pool, nullptr);
+      EXPECT_TRUE(static_cast<const EngineOptions&>(sc) == want_shard);
+      EXPECT_EQ(sc.use_seq_detector, ec.use_seq_detector);
     }
   }
 }

@@ -61,15 +61,15 @@ StackConfig MakeConfig(Variant v) {
       cfg.ssd.ftl = ssd::FtlKind::kHybridLog;
       cfg.ssd.geometry.overprovision = 0.25;
       break;
-    case Variant::kRais5:
-      cfg.use_rais = true;
-      cfg.rais.level = ssd::RaisLevel::kRais5;
-      cfg.rais.num_disks = 5;
-      cfg.rais.member = cfg.ssd;
+    case Variant::kRais5: {
+      auto& rais = cfg.device.emplace<ssd::RaisConfig>();
+      rais.level = ssd::RaisLevel::kRais5;
+      rais.num_disks = 5;
+      rais.member = cfg.ssd;
       break;
+    }
     case Variant::kHdd:
-      cfg.use_hdd = true;
-      cfg.hdd.num_pages = 1u << 16;
+      cfg.device.emplace<ssd::HddConfig>().num_pages = 1u << 16;
       break;
     case Variant::kPrefixProbeNoSd:
       cfg.estimator.kind = EstimatorKind::kPrefixProbe;

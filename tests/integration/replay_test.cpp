@@ -143,10 +143,10 @@ TEST(Replay, Rais5RunsAllSchemes) {
   ASSERT_TRUE(model.ok());
   for (Scheme scheme : {Scheme::kNative, Scheme::kEdc}) {
     StackConfig cfg = BaseConfig(scheme, ExecutionMode::kModeled);
-    cfg.use_rais = true;
-    cfg.rais.level = ssd::RaisLevel::kRais5;
-    cfg.rais.num_disks = 5;
-    cfg.rais.member = cfg.ssd;
+    auto& rais = cfg.device.emplace<ssd::RaisConfig>();
+    rais.level = ssd::RaisLevel::kRais5;
+    rais.num_disks = 5;
+    rais.member = cfg.ssd;
     auto stack = Stack::Create(cfg, *model);
     ASSERT_TRUE(stack.ok()) << stack.status().ToString();
     auto result = ReplayTrace(**stack, t);
@@ -221,8 +221,7 @@ TEST(Replay, HddStackRunsAllSchemes) {
   t.name = base.name;
   for (Scheme scheme : {Scheme::kNative, Scheme::kEdc}) {
     StackConfig cfg = BaseConfig(scheme, ExecutionMode::kFunctional);
-    cfg.use_hdd = true;
-    cfg.hdd.num_pages = 1u << 20;
+    cfg.device.emplace<ssd::HddConfig>().num_pages = 1u << 20;
     auto stack = Stack::Create(cfg);
     ASSERT_TRUE(stack.ok());
     auto result = ReplayTrace(**stack, t);
@@ -234,10 +233,10 @@ TEST(Replay, HddStackRunsAllSchemes) {
 TEST(Replay, Rais0StackRuns) {
   trace::Trace t = SmallTrace("Usr_0", 1.5);
   StackConfig cfg = BaseConfig(Scheme::kLzf, ExecutionMode::kFunctional);
-  cfg.use_rais = true;
-  cfg.rais.level = ssd::RaisLevel::kRais0;
-  cfg.rais.num_disks = 4;
-  cfg.rais.member = cfg.ssd;
+  auto& rais = cfg.device.emplace<ssd::RaisConfig>();
+  rais.level = ssd::RaisLevel::kRais0;
+  rais.num_disks = 4;
+  rais.member = cfg.ssd;
   auto stack = Stack::Create(cfg);
   ASSERT_TRUE(stack.ok());
   auto result = ReplayTrace(**stack, t);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace edc::ssd {
 namespace {
@@ -111,11 +112,53 @@ TEST(Rais, StatsAggregateMembers) {
   DeviceStats s = rais.stats();
   // 10 data pages + parity traffic.
   EXPECT_GE(s.host_pages_written, 20u);
-  u64 member_sum = 0;
+  std::vector<DeviceStats> members;
   for (u32 i = 0; i < rais.num_disks(); ++i) {
-    member_sum += rais.member(i).stats().host_pages_written;
+    members.push_back(rais.member(i).stats());
   }
-  EXPECT_EQ(member_sum, s.host_pages_written);
+  // No spares, and the array-level counters are all zero.
+  EXPECT_EQ(s, FoldParallel(members));
+}
+
+TEST(FoldParallel, SumsMaxesAndAverages) {
+  DeviceStats a;
+  a.host_pages_written = 10;
+  a.gc_pages_copied = 2;
+  a.max_erase_count = 7;
+  a.mean_erase_count = 1.5;
+  a.busy_time = 100;
+  a.energy_j = 0.25;
+  a.read_faults = 1;
+  DeviceStats b;
+  b.host_pages_written = 30;
+  b.gc_pages_copied = 8;
+  b.max_erase_count = 2;
+  b.mean_erase_count = 0.5;
+  b.busy_time = 300;
+  b.energy_j = 0.5;
+  b.degraded_reads = 9;
+  const DeviceStats both[] = {a, b};
+  DeviceStats f = FoldParallel(both);
+  EXPECT_EQ(f.host_pages_written, 40u);
+  EXPECT_EQ(f.gc_pages_copied, 10u);
+  EXPECT_EQ(f.read_faults, 1u);
+  EXPECT_EQ(f.degraded_reads, 9u);
+  EXPECT_DOUBLE_EQ(f.energy_j, 0.75);
+  EXPECT_EQ(f.max_erase_count, 7u);  // the hottest device
+  EXPECT_EQ(f.busy_time, 300);       // parallel lanes, not a sum
+  EXPECT_DOUBLE_EQ(f.mean_erase_count, 1.0);
+  // Recomputed from the summed pages, not averaged: (40 + 10) / 40.
+  EXPECT_DOUBLE_EQ(f.waf, 1.25);
+}
+
+TEST(FoldParallel, EmptyAndWriteFreeInputs) {
+  EXPECT_EQ(FoldParallel({}), DeviceStats{});  // mean 0, waf 1.0
+  DeviceStats reads_only;
+  reads_only.host_pages_read = 12;
+  reads_only.gc_pages_copied = 3;  // relocations with no host writes
+  reads_only.waf = 9.0;
+  const DeviceStats one[] = {reads_only};
+  EXPECT_EQ(FoldParallel(one).waf, 1.0);
 }
 
 TEST(Rais, TrimMapsThrough) {

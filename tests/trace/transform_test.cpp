@@ -8,8 +8,7 @@ namespace edc::trace {
 namespace {
 
 Trace MakeTrace() {
-  Trace t;
-  t.name = "t";
+  Trace t{.name = "t", .records = {}};
   for (int i = 0; i < 10; ++i) {
     TraceRecord r;
     r.timestamp = i * kSecond;
